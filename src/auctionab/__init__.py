@@ -18,8 +18,6 @@ from .alloc import (
     multi_unit_alloc,
     multi_unit_alloc_deriv,
     parse_rule,
-    position_alloc,
-    position_alloc_deriv,
     uniform_stair,
     uniform_stair_weights,
     universal_b,
@@ -34,7 +32,6 @@ from .dist import (
     expected_value,
     make_distribution,
     order_statistic_means,
-    revenue_curve,
     true_revenue,
     true_welfare,
 )
@@ -59,6 +56,7 @@ from .estim import (
     estimate_multiunit_revenues,
     estimate_revenue,
     estimate_welfare,
+    firstprice_weights,
     revenue_weights,
 )
 from .bounds import (

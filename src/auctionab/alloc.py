@@ -8,12 +8,15 @@ rules here reduce to weighted sums of the multi-unit rules
     x_k(q) = P(at most k-1 of the n-1 rivals have quantile above q),
 
 which are known in closed form and do not depend on the value distribution.
-All evaluators accept scalars or numpy arrays and are pure functions.
+Marginal weights come in runs of equal value (the uniform stair is a single
+run), and a run of multi-unit terms sums to a binomial interval probability,
+so each rule is evaluated in O(runs) calls instead of O(n).  All evaluators
+accept scalars or numpy arrays and are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 from scipy import special
@@ -55,20 +58,13 @@ def multi_unit_alloc_deriv(k: int, n: int, q):
     """
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
-    q = _as_array(q)
-    if k == n:
-        return np.zeros_like(q)
-    return _scaled_poly(_log_binom_coef(n, k), n - 1 - k, k - 1, q)
+    return _binom_pmf(n - 2, k - 1, _as_array(q), n - 1)
 
 
-def _log_binom_coef(n: int, k: int) -> float:
-    """log[(n-1) * C(n-2, k-1)], via gammaln so it never overflows even for
-    n up to 2**10 where the coefficient itself would."""
-    if n <= 50:
-        return float(np.log((n - 1) * comb(n - 2, k - 1)))
-    return float(
-        np.log(n - 1) + special.gammaln(n - 1) - special.gammaln(n - k) - special.gammaln(k)
-    )
+def _log_comb(m: int, j: int, scale: int = 1) -> float:
+    """log(scale * C(m, j)) with one rounding: the product is an exact
+    integer, and math.log takes integers beyond the float range."""
+    return math.log(scale * math.comb(m, j))
 
 
 def _scaled_poly(logc, a: int, b: int, q: np.ndarray) -> np.ndarray:
@@ -88,22 +84,54 @@ def _scaled_poly(logc, a: int, b: int, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
+    """scale * P(Bin(m, 1-q) = j): the probability that exactly j of m
+    rivals have quantile above q; zero for j outside 0..m."""
+    if not (0 <= j <= m):
+        return np.zeros_like(q)
+    return _scaled_poly(_log_comb(m, j, scale), m - j, j, q)
+
+
+def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
+    """P(a <= Bin(m, 1-q) <= b).
+
+    A single point is the pmf.  Otherwise the tails come from the
+    regularized incomplete beta function, P(Bin(m, 1-q) <= j) = I_q(m-j, j+1)
+    and P(Bin(m, 1-q) >= j) = I_{1-q}(j, m-j+1).  Lower tails are
+    differenced where the interval lies below the mean m(1-q), upper tails
+    elsewhere, so two values near 1 never cancel.  The upper tails take
+    p = 1-q, exact for q >= 1/2 and within half an ulp below; a tail of
+    order j <= m amplifies that to at most about m ulps.  (scipy's betaincc
+    would stay in q but costs about ten times as much as betainc.)
+    """
+    a, b = max(a, 0), min(b, m)
+    if a > b:
+        return np.zeros_like(q)
+    if a == 0 and b == m:
+        return np.ones_like(q)
+    if a == b:
+        return _binom_pmf(m, a, q)
+    if a == 0:
+        return special.betainc(m - b, b + 1, q)
+    if b == m:
+        return special.betainc(a, m - a + 1, 1.0 - q)
+    flat = q.reshape(-1)
+    low = b < m * (1.0 - flat)
+    ql, pu = flat[low], 1.0 - flat[~low]
+    out = np.empty_like(flat)
+    out[low] = special.betainc(m - b, b + 1, ql) - special.betainc(m - a + 1, a, ql)
+    out[~low] = special.betainc(a, m - a + 1, pu) - special.betainc(b + 1, m - b, pu)
+    return out.reshape(q.shape)
+
+
 def multi_unit_alloc_second(k: int, n: int, q):
     """Second derivative of the multi-unit allocation rule, used for the
-    analytic derivative of the estimator weight kernel."""
+    analytic derivative of the estimator weight kernel:
+    x_k''(q) = (n-1) (n-2) [p(k-1) - p(k-2)], p the pmf of Bin(n-3, 1-q)."""
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
     q = _as_array(q)
-    if k == n:
-        return np.zeros_like(q)
-    a, b = n - 1 - k, k - 1
-    logc = _log_binom_coef(n, k)
-    out = np.zeros_like(q)
-    if a > 0:
-        out = out + a * _scaled_poly(logc, a - 1, b, q)
-    if b > 0:
-        out = out - b * _scaled_poly(logc, a, b - 1, q)
-    return out
+    return (n - 1) * (_binom_pmf(n - 3, k - 1, q, n - 2) - _binom_pmf(n - 3, k - 2, q, n - 2))
 
 
 @dataclass(frozen=True)
@@ -166,28 +194,87 @@ def weights_from_marginals(m: MarginalWeights) -> PositionWeights:
     return PositionWeights(w)
 
 
+#: neighbouring marginal weights this close (relative) belong to one run;
+#: the uniform stair's increments are not bit-equal floats
+RUN_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
 class AllocationRule:
     """Evaluable allocation rule on [0, 1] with exact first and second
-    derivatives.  Immutable; evaluators are pure and thread-safe."""
+    derivatives.  Immutable; evaluators are pure and thread-safe.
 
-    n: int
+    Every rule is a position rule.  A subclass hands its position weights
+    to `_set_weights` at construction, which finds once the runs [k0, k1]
+    (k1 <= n-1) of equal nonzero marginal weight and the mass
+    w_k0 - w_{k1+1} of each.  The evaluators here sum closed forms over
+    those runs; the n-unit term wbar_n = w_n only adds a constant to x.
+    """
+
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _runs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False, compare=False)
+
+    def _set_weights(self, w) -> None:
+        w = np.asarray(w, dtype=float)
+        wbar = w[:-1] - w[1:]  # wbar[i] is the marginal weight of k = i+1 units
+        runs: list[list[int]] = []
+        for i in np.flatnonzero(wbar):
+            if runs and runs[-1][1] == i - 1 and \
+                    abs(wbar[i] - wbar[runs[-1][0]]) <= RUN_RTOL * abs(wbar[runs[-1][0]]):
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_runs", tuple(
+            (int(i0) + 1, int(i1) + 1, float(w[i0] - w[i1 + 1])) for i0, i1 in runs))
 
     def x(self, q):
-        raise NotImplementedError
+        q = _as_array(q)
+        n = self.n
+        out = np.full(q.shape, self._w[-1])
+        for k0, k1, mass in self._runs:
+            # sum_{k=k0}^{k1} P(C <= k-1) with C ~ Bin(n-1, 1-q) rivals above q
+            s = (k1 - k0 + 1) * _between(n - 1, 0, k0 - 1, q)
+            if k1 > k0:
+                s += (k1 * _between(n - 1, k0, k1 - 1, q)
+                      - (n - 1) * (1.0 - q) * _between(n - 2, k0 - 1, k1 - 2, q))
+            out += mass / (k1 - k0 + 1) * s
+        return out
 
     def xprime(self, q):
-        raise NotImplementedError
+        q = _as_array(q)
+        n = self.n
+        out = np.zeros_like(q)
+        for k0, k1, mass in self._runs:
+            # sum_{k=k0}^{k1} x_k' = (n-1) P(k0-1 <= B <= k1-1), B ~ Bin(n-2, 1-q)
+            out += mass * (n - 1) / (k1 - k0 + 1) * _between(n - 2, k0 - 1, k1 - 1, q)
+        return out
 
     def xsecond(self, q):
-        raise NotImplementedError
+        q = _as_array(q)
+        n = self.n
+        out = np.zeros_like(q)
+        for k0, k1, mass in self._runs:
+            # the derivative of the sum above, through pmfs of Bin(n-3, 1-q)
+            c = mass * (n - 1) * (n - 2) / (k1 - k0 + 1)
+            out += c * (_binom_pmf(n - 3, k1 - 1, q) - _binom_pmf(n - 3, k0 - 2, q))
+        return out
 
     def describe(self) -> str:
         raise NotImplementedError
 
     def _slope_candidates(self) -> list[float]:
         """Quantiles where xprime may attain its supremum, in addition to a
-        uniform grid."""
-        return [0.0, 1.0]
+        uniform grid: the endpoints and, for each multi-unit term, the point
+        (n-k)/(n-1) and the maximizer (n-1-k)/(n-2) of q^(n-1-k) (1-q)^(k-1)."""
+        n = self.n
+        cands = {0.0, 1.0}
+        for k0, k1, _ in self._runs:
+            for k in range(k0, k1 + 1):
+                cands.add((n - k) / (n - 1))
+                if n > 2:
+                    cands.add((n - 1 - k) / (n - 2))
+        return sorted(cands)
 
 
 @dataclass(frozen=True)
@@ -202,27 +289,10 @@ class MultiUnit(AllocationRule):
             raise ValueError("need at least 2 agents")
         if not (1 <= self.k <= self.n):
             raise ValueError(f"unit count k={self.k} outside 1..{self.n}")
-
-    def x(self, q):
-        return multi_unit_alloc(self.k, self.n, q)
-
-    def xprime(self, q):
-        return multi_unit_alloc_deriv(self.k, self.n, q)
-
-    def xsecond(self, q):
-        return multi_unit_alloc_second(self.k, self.n, q)
+        self._set_weights(np.arange(self.n) < self.k)
 
     def describe(self) -> str:
         return f"{self.k}-unit(n={self.n})"
-
-    def _slope_candidates(self) -> list[float]:
-        if self.k == self.n:  # constant rule, slope 0 everywhere
-            return [0.0, 1.0]
-        cands = [0.0, 1.0, (self.n - self.k) / (self.n - 1)]
-        a, b = self.n - 1 - self.k, self.k - 1
-        if a + b > 0:
-            cands.append(a / (a + b))  # argmax of q^a (1-q)^b
-        return cands
 
 
 @dataclass(frozen=True)
@@ -235,50 +305,20 @@ class Position(AllocationRule):
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", marginal_weights(self.weights))
+        self._set_weights(self.weights.w)
 
     @property
     def n(self) -> int:
         return self.weights.n
 
-    def _terms(self):
-        wbar = self.marginals.wbar
-        return [(wbar[k], k) for k in range(1, self.n + 1) if wbar[k] != 0.0]
-
-    def x(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for wk, k in self._terms():
-            out = out + wk * multi_unit_alloc(k, self.n, q)
-        return out
-
-    def xprime(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for wk, k in self._terms():
-            out = out + wk * multi_unit_alloc_deriv(k, self.n, q)
-        return out
-
-    def xsecond(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for wk, k in self._terms():
-            out = out + wk * multi_unit_alloc_second(k, self.n, q)
-        return out
-
     def describe(self) -> str:
         return "position(" + ",".join(f"{v:g}" for v in self.weights.w) + ")"
-
-    def _slope_candidates(self) -> list[float]:
-        cands: list[float] = [0.0, 1.0]
-        for _, k in self._terms():
-            cands.extend(MultiUnit(k, self.n)._slope_candidates())
-        return cands
 
 
 @dataclass(frozen=True)
 class Mixture(AllocationRule):
-    """Lazy convex combination of allocation rules: derivatives are the
-    weighted sums of the component derivatives."""
+    """Convex combination of allocation rules: the rule of the same convex
+    combination of their position weights."""
 
     components: tuple[tuple[float, AllocationRule], ...]
 
@@ -294,49 +334,14 @@ class Mixture(AllocationRule):
         if abs(sum(w for w, _ in comps) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "components", comps)
+        self._set_weights(sum(w * r._w for w, r in comps))
 
     @property
     def n(self) -> int:
         return self.components[0][1].n
 
-    def x(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for w, r in self.components:
-            out = out + w * r.x(q)
-        return out
-
-    def xprime(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for w, r in self.components:
-            out = out + w * r.xprime(q)
-        return out
-
-    def xsecond(self, q):
-        q = _as_array(q)
-        out = np.zeros_like(q)
-        for w, r in self.components:
-            out = out + w * r.xsecond(q)
-        return out
-
     def describe(self) -> str:
         return "+".join(f"{w:g}*{r.describe()}" for w, r in self.components)
-
-    def _slope_candidates(self) -> list[float]:
-        cands: list[float] = []
-        for _, r in self.components:
-            cands.extend(r._slope_candidates())
-        return cands
-
-
-def position_alloc(w: PositionWeights, q):
-    """Allocation rule of the rank-by-bid position auction with weights w."""
-    return Position(w).x(q)
-
-
-def position_alloc_deriv(w: PositionWeights, q):
-    return Position(w).xprime(q)
 
 
 def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:

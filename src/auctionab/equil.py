@@ -50,6 +50,19 @@ class BidCurve:
         object.__setattr__(self, "b", b)
         self.b.setflags(write=False)
 
+    def draw(self, N: int, seed) -> np.ndarray:
+        """N bids drawn with replacement from the grid bids (uniform quantile
+        indices mapped through the curve), sorted ascending.
+
+        Deterministic given the seed.  The generator is numpy's default_rng
+        (PCG64); `seed` may be an int or a numpy SeedSequence, which is how
+        the Monte Carlo harness derives independent per-trial streams.
+        """
+        if N < 1:
+            raise ValueError("sample size must be positive")
+        idx = np.random.default_rng(seed).integers(0, len(self.b), size=N)
+        return np.sort(self.b[idx])
+
 
 @dataclass(frozen=True)
 class BidSample:
@@ -145,18 +158,9 @@ def invert(curve: BidCurve, rule: AllocationRule | None = None) -> np.ndarray:
 
 
 def sample_bids(curve: BidCurve, N: int, seed) -> BidSample:
-    """Draw N bids with replacement from the grid bids (uniform quantile
-    indices mapped through the curve), sorted ascending.
-
-    Deterministic given the seed.  The generator is numpy's default_rng
-    (PCG64); `seed` may be an int or a numpy SeedSequence, which is how the
-    Monte Carlo harness derives independent per-trial streams.
-    """
-    if N < 1:
-        raise ValueError("sample size must be positive")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(curve.b), size=N)
-    return BidSample(curve.format, curve.rule.n, curve.rule, np.sort(curve.b[idx]))
+    """The sample of `curve.draw(N, seed)`: N bids drawn with replacement
+    from the grid bids, sorted ascending, deterministic given the seed."""
+    return BidSample(curve.format, curve.rule.n, curve.rule, curve.draw(N, seed))
 
 
 def empirical_bid_function(sample: BidSample, q):

@@ -105,25 +105,31 @@ def _zprime(y: AllocationRule, x: AllocationRule, q: np.ndarray) -> np.ndarray:
     return -yp / xp + (1.0 - q) * (ys * xp - yp * xs) / xp**2
 
 
-def estimate_revenue_firstprice(
-    sample: BidSample, x: AllocationRule, y: AllocationRule, refine: int = 10, **meta
-) -> EstimateReport:
-    """Per-agent revenue of y from first-price bids under x, by integrating
-    -x(q) Z'(q) against the empirical bid step function on a grid `refine`
-    times finer than the sample resolution (endpoints clamped)."""
-    if sample.format != FIRST_PRICE:
-        raise ValueError("sample is not from a first-price auction")
-    N = sample.size
+def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int, refine: int = 10) -> np.ndarray:
+    """The N weights applied to the sorted first-price bids: the integral of
+    -x(q) Z'(q) over each bid's cell, by the trapezoid rule on a grid
+    `refine` times finer than the sample resolution (endpoints clamped)."""
     m = refine * N
     q = np.linspace(0.0, 1.0, m + 1)
     qe = np.clip(q, 0.5 / N, 1.0 - 0.5 / N)
     g = -x.x(qe) * _zprime(y, x, qe)
     # trapezoid cells, then aggregate each run of `refine` cells per bid
     cell = 0.5 * (g[:-1] + g[1:]) / m
-    per_bid = cell.reshape(N, refine).sum(axis=1)
+    return cell.reshape(N, refine).sum(axis=1)
+
+
+def estimate_revenue_firstprice(
+    sample: BidSample, x: AllocationRule, y: AllocationRule, refine: int = 10, **meta
+) -> EstimateReport:
+    """Per-agent revenue of y from first-price bids under x, by integrating
+    -x(q) Z'(q) against the empirical bid step function (see
+    firstprice_weights)."""
+    if sample.format != FIRST_PRICE:
+        raise ValueError("sample is not from a first-price auction")
+    w = firstprice_weights(x, y, sample.size, refine)
     return EstimateReport(
-        float(per_bid @ sample.bids),
-        meta={"format": FIRST_PRICE, "n": x.n, "N": N,
+        float(w @ sample.bids),
+        meta={"format": FIRST_PRICE, "n": x.n, "N": sample.size,
               "source": x.describe(), "target": y.describe(), **meta},
     )
 

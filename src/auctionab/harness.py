@@ -15,8 +15,8 @@ import numpy as np
 
 from .alloc import AllocationRule, MultiUnit, mixture, uniform_stair
 from .dist import Beta22, QuantileGrid, ValueDistribution, make_distribution, true_revenue
-from .equil import ALL_PAY, BidCurve, bid_curve, sample_bids
-from .estim import estimate_revenue
+from .equil import ALL_PAY, BidCurve, bid_curve
+from .estim import firstprice_weights, revenue_weights
 
 CSV_SCHEMA = "# auctionab-mad-v1"
 CSV_HEADER = "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"
@@ -98,20 +98,11 @@ class MadResult:
 
 def _trial_estimates(curve: BidCurve, x: AllocationRule, y: AllocationRule,
                      N: int, seed: int, trials: range) -> np.ndarray:
-    from .estim import revenue_weights
-    from .equil import FIRST_PRICE
-
+    w = (revenue_weights if curve.format == ALL_PAY else firstprice_weights)(x, y, N)
+    # bare draws: a BidSample re-checks the sorted bids, a fifth of a trial at N=1e4
     out = np.empty(len(trials))
-    if curve.format == ALL_PAY:
-        w = revenue_weights(x, y, N)
-        for j, t in enumerate(trials):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-            idx = rng.integers(0, len(curve.b), size=N)
-            out[j] = w @ np.sort(curve.b[idx])
-    else:
-        for j, t in enumerate(trials):
-            sample = sample_bids(curve, N, np.random.SeedSequence((seed, t)))
-            out[j] = estimate_revenue(sample, x, y).point
+    for j, t in enumerate(trials):
+        out[j] = w @ curve.draw(N, np.random.SeedSequence((seed, t)))
     return out
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionab.alloc import (
     MarginalWeights,
@@ -236,3 +238,50 @@ class TestParseRule:
             parse_rule("nonsense", 4)
         with pytest.raises(ValueError):
             parse_rule("1,0.5", 3)
+
+
+@st.composite
+def position_rules(draw):
+    """Position rules with n in 2..1024 whose marginal weights over 1..n-1
+    repeat segments of equal values (stair segments in w, including zeros)."""
+    n = draw(st.integers(2, 1024))
+    value = st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0)
+    segs = draw(st.lists(st.tuples(st.integers(1, 64), value), min_size=1, max_size=8))
+    inner = np.resize(np.concatenate([np.full(length, v) for length, v in segs]), n - 1)
+    wbar = np.concatenate([[draw(st.floats(0.0, 1.0))], inner, [draw(st.floats(0.0, 1.0))]])
+    if wbar.sum() == 0.0:
+        wbar[-1] = 1.0
+    wbar = wbar / wbar.sum()
+    w = np.minimum(np.cumsum(wbar[::-1])[::-1][1:], 1.0)  # w_k = sum_{j>=k} wbar_j
+    return Position(PositionWeights(w))
+
+
+def per_term(fn, rule, q):
+    wbar = rule.marginals.wbar
+    terms = (wbar[k] * fn(k, rule.n, q) for k in range(1, rule.n + 1) if wbar[k] != 0.0)
+    return sum(terms, np.zeros_like(q))
+
+
+class TestRunEvaluation:
+    """The rule evaluators sum closed forms over runs of equal marginal
+    weight; they must agree with the sum over the n multi-unit terms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(position_rules(), st.lists(st.floats(0.0, 1.0), max_size=12))
+    def test_matches_per_term_sum(self, rule, extra):
+        q = np.array([0.0, 1.0, 1e-6, 1.0 - 1e-6, 0.5] + extra)
+        for got, ref in ((rule.x(q), per_term(multi_unit_alloc, rule, q)),
+                         (rule.xprime(q), per_term(multi_unit_alloc_deriv, rule, q))):
+            sel = np.abs(ref) > 1e-280
+            np.testing.assert_allclose(got[sel], ref[sel], rtol=1e-9, atol=0.0)
+        # x'' cancels (it is exactly 0 on a stair), so the scale is that of its terms
+        ref = per_term(multi_unit_alloc_second, rule, q)
+        scale = per_term(lambda k, n, q: np.abs(multi_unit_alloc_second(k, n, q)), rule, q)
+        assert np.max(np.abs(rule.xsecond(q) - ref)) <= 1e-9 * np.max(scale)
+
+    def test_uniform_stair_slope_is_exactly_one(self):
+        q = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 1e-6, 1.0 - 1e-6]])
+        for n in range(2, 1025):
+            rule = uniform_stair(n)
+            assert np.all(rule.xprime(q) == 1.0), n
+            np.testing.assert_allclose(rule.x(q), q, rtol=0.0, atol=1e-15)

@@ -60,6 +60,14 @@ class TestBeta22:
     def test_mean_is_half(self):
         assert expected_value(Beta22(), GRID) == pytest.approx(0.5, abs=1e-4)
 
+    def test_quantile_residual_endpoints_and_monotone(self):
+        d = Beta22()
+        q = np.concatenate([np.linspace(0.0, 1.0, 100_001), np.random.default_rng(1).random(10_000)])
+        v = d.v(q)
+        assert np.max(np.abs(d.cdf(v) - q)) <= 1e-15
+        assert d.v(0.0) == 0.0 and d.v(1.0) == 1.0
+        assert np.all(np.diff(d.v(np.sort(q))) >= 0.0)
+
 
 class TestTabulatedQuantile:
     def test_constant_distribution(self):
