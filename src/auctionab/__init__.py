@@ -56,6 +56,7 @@ from .estim import (
     estimate_multiunit_revenues,
     estimate_revenue,
     estimate_welfare,
+    estimator_weights,
     firstprice_weights,
     revenue_weights,
 )

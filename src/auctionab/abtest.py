@@ -47,6 +47,15 @@ def build_test_mechanism(design: ABDesign) -> AllocationRule:
     return Mixture(((1.0 - design.eps, design.a),) + design.bs)
 
 
+def revenue_verdict(p1: float, p2: float, alpha: float = 1.0) -> tuple[int, float]:
+    """(verdict, margin) with margin = p1 - alpha * p2; verdict 1 iff
+    margin > 0 (an exact tie keeps the incumbent answer 0)."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    margin = p1 - alpha * p2
+    return (1 if margin > 0 else 0), margin
+
+
 def compare_revenues(
     sample: BidSample,
     x: AllocationRule,
@@ -54,17 +63,11 @@ def compare_revenues(
     b2: AllocationRule,
     alpha: float = 1.0,
 ) -> tuple[int, float]:
-    """Classify whether b1's revenue exceeds alpha times b2's.
-
-    Returns (verdict, margin) with margin = P_hat(b1) - alpha * P_hat(b2);
-    verdict 1 iff margin > 0 (an exact tie keeps the incumbent answer 0).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """Classify whether b1's revenue exceeds alpha times b2's: the
+    revenue_verdict of the two estimates from the same sample."""
     p1 = estimate_revenue(sample, x, b1).point
     p2 = estimate_revenue(sample, x, b2).point
-    margin = p1 - alpha * p2
-    return (1 if margin > 0 else 0), margin
+    return revenue_verdict(p1, p2, alpha)
 
 
 def best_of_r(

@@ -124,16 +124,6 @@ def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
     return out.reshape(q.shape)
 
 
-def multi_unit_alloc_second(k: int, n: int, q):
-    """Second derivative of the multi-unit allocation rule, used for the
-    analytic derivative of the estimator weight kernel:
-    x_k''(q) = (n-1) (n-2) [p(k-1) - p(k-2)], p the pmf of Bin(n-3, 1-q)."""
-    if not (1 <= k <= n):
-        raise ValueError(f"unit count k={k} outside 1..{n}")
-    q = _as_array(q)
-    return (n - 1) * (_binom_pmf(n - 3, k - 1, q, n - 2) - _binom_pmf(n - 3, k - 2, q, n - 2))
-
-
 @dataclass(frozen=True)
 class PositionWeights:
     """Decreasing service probabilities w_1 >= ... >= w_n for n positions."""
@@ -201,14 +191,15 @@ RUN_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class AllocationRule:
-    """Evaluable allocation rule on [0, 1] with exact first and second
-    derivatives.  Immutable; evaluators are pure and thread-safe.
+    """Evaluable allocation rule on [0, 1] with its exact derivative and
+    antiderivative.  Immutable; evaluators are pure and thread-safe.
 
     Every rule is a position rule.  A subclass hands its position weights
     to `_set_weights` at construction, which finds once the runs [k0, k1]
     (k1 <= n-1) of equal nonzero marginal weight and the mass
     w_k0 - w_{k1+1} of each.  The evaluators here sum closed forms over
-    those runs; the n-unit term wbar_n = w_n only adds a constant to x.
+    those runs; the n-unit term wbar_n = w_n only adds w_n to x and w_n q
+    to its integral.
     """
 
     _w: np.ndarray = field(init=False, repr=False, compare=False)
@@ -250,14 +241,28 @@ class AllocationRule:
             out += mass * (n - 1) / (k1 - k0 + 1) * _between(n - 2, k0 - 1, k1 - 1, q)
         return out
 
-    def xsecond(self, q):
+    def xint(self, q):
+        """The integral of x over [0, q]."""
         q = _as_array(q)
-        n = self.n
-        out = np.zeros_like(q)
+        n, p = self.n, 1.0 - q
+        out = self._w[-1] * q
         for k0, k1, mass in self._runs:
-            # the derivative of the sum above, through pmfs of Bin(n-3, 1-q)
-            c = mass * (n - 1) * (n - 2) / (k1 - k0 + 1)
-            out += c * (_binom_pmf(n - 3, k1 - 1, q) - _binom_pmf(n - 3, k0 - 2, q))
+            # n int_0^q x_k = E[(k-D)^+] with D ~ Bin(n, 1-q); over the run that
+            # is L E[kbar - D; D < k0] + E[T(k1 - D); k0 <= D < k1], T(e) = e(e+1)/2,
+            # with T in factorial moments of D for a low run and of n - D for a
+            # high one, which keeps the terms small where k1 - D is
+            L, a = k1 - k0 + 1, n - k1
+            s = L * ((k0 + k1) / 2 * _between(n, 0, k0 - 1, q)
+                     - n * p * _between(n - 1, 0, k0 - 2, q))
+            if k0 + k1 >= n:
+                s += (a * (a - 1) * _between(n, k0, k1 - 1, q)
+                      - 2 * (a - 1) * n * q * _between(n - 1, k0, k1 - 1, q)
+                      + n * (n - 1) * q * q * _between(n - 2, k0, k1 - 1, q)) / 2
+            else:
+                s += (k1 * (k1 + 1) * _between(n, k0, k1 - 1, q)
+                      - 2 * k1 * n * p * _between(n - 1, k0 - 1, k1 - 2, q)
+                      + n * (n - 1) * p * p * _between(n - 2, k0 - 2, k1 - 3, q)) / 2
+            out = out + mass / (L * n) * s
         return out
 
     def describe(self) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abtest import best_of_r, compare_revenues
+from .abtest import revenue_verdict
 from .alloc import AllocationRule, DegenerateRuleError, max_slope, mixture, parse_rule
 from .bounds import (
     BoundInputs,
@@ -28,8 +28,8 @@ from .bounds import (
     normalized_table_bound,
 )
 from .dist import QuantileGrid, make_distribution, true_revenue
-from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv, sample_bids
-from .estim import DegenerateSourceError, estimate_revenue
+from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv
+from .estim import DegenerateSourceError, estimate_revenue, estimator_weights
 from .harness import (
     CSV_HEADER,
     CSV_SCHEMA,
@@ -82,6 +82,11 @@ def _sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default=ALL_PAY, choices=(ALL_PAY, FIRST_PRICE))
 
 
+def _check_sample_size(N: int) -> None:
+    if N < 1:
+        raise ValueError("sample size N must be at least 1")
+
+
 def cmd_simulate(args) -> list[str]:
     spec = ExperimentSpec(
         design=args.design, n=args.n, N=args.N, eps=args.eps, trials=args.trials,
@@ -119,6 +124,7 @@ def cmd_estimate(args) -> list[str]:
 
 
 def cmd_compare(args) -> list[str]:
+    _check_sample_size(args.N)
     n = args.n
     incumbent = parse_rule(args.incumbent, n)
     b1 = parse_rule(args.b1, n)
@@ -137,10 +143,13 @@ def cmd_compare(args) -> list[str]:
         "# auctionab-compare-v1",
         "trial,verdict,margin,true_verdict,classifier_bound",
     ]
+    # both candidates' weights once; trial t draws from SeedSequence((seed, t))
+    w1 = estimator_weights(args.format, test, b1, args.N)
+    w2 = estimator_weights(args.format, test, b2, args.N)
     wrong = 0
     for t in range(args.trials):
-        sample = sample_bids(curve, args.N, np.random.SeedSequence((args.seed, t)))
-        verdict, margin = compare_revenues(sample, test, b1, b2, args.alpha)
+        bids = curve.draw(args.N, np.random.SeedSequence((args.seed, t)))
+        verdict, margin = revenue_verdict(w1 @ bids, w2 @ bids, args.alpha)
         wrong += int(verdict != true_verdict)
         out.append(f"{t},{verdict},{margin:.10g},{true_verdict},{cls_bound:.10g}")
     out.append(f"# misclassification_rate,{wrong / args.trials:.10g}")
@@ -149,6 +158,7 @@ def cmd_compare(args) -> list[str]:
 
 
 def cmd_bounds(args) -> list[str]:
+    _check_sample_size(args.N)
     a, b = design_rules(args.design, args.n)
     c = mixture(a, b, args.eps)
     inputs = BoundInputs.from_rules(c, b, args.N, args.eps)

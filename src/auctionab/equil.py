@@ -77,6 +77,8 @@ class BidSample:
         bids = np.asarray(self.bids, dtype=float)
         if bids.ndim != 1 or len(bids) == 0:
             raise ValueError("need a nonempty 1-d bid vector")
+        if not np.all(np.isfinite(bids)):
+            raise ValueError("bids must be finite (found nan or inf)")
         if np.any(np.diff(bids) < 0):
             bids = np.sort(bids)
         if bids[0] < 0:

@@ -8,8 +8,8 @@ Z(q) = (1-q) y'(q)/x'(q), the estimate is
     P_hat = sum_i [Z((i-1)/N) - Z(i/N)] * b_i
 
 which is exact summation by parts of E_q[-Z'(q) b_hat(q)].  The first-price
-variant evaluates E_q[-x(q) Z'(q) b_hat(q)] on a refined grid with Z'
-computed analytically from the rules' closed-form derivatives.
+variant evaluates E_q[-x(q) Z'(q) b_hat(q)] exactly too: -x Z' is the
+derivative of F(q) = (1-q) y(q) + int_0^q y - x(q) Z(q).
 """
 from __future__ import annotations
 
@@ -82,6 +82,19 @@ def revenue_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
     return Z[:-1] - Z[1:]
 
 
+def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
+    """The N weights applied to the sorted first-price bids: the integral of
+    -x(q) Z'(q) over each bid's cell, the increment of F over it."""
+    q = np.arange(N + 1) / N
+    return np.diff((1.0 - q) * (y.x(q) - x.x(q) * _ratio(y, x, q, N)) + y.xint(q))
+
+
+def estimator_weights(fmt: str, x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
+    """The revenue weights of the payment format's estimator: y's revenue
+    is their dot product with N sorted bids from source x."""
+    return (revenue_weights if fmt == ALL_PAY else firstprice_weights)(x, y, N)
+
+
 def estimate_revenue_allpay(
     sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
 ) -> EstimateReport:
@@ -96,37 +109,15 @@ def estimate_revenue_allpay(
     )
 
 
-def _zprime(y: AllocationRule, x: AllocationRule, q: np.ndarray) -> np.ndarray:
-    """d/dq [(1-q) y'(q)/x'(q)] from the closed-form rule derivatives."""
-    yp, xp = y.xprime(q), x.xprime(q)
-    ys, xs = y.xsecond(q), x.xsecond(q)
-    if np.any(np.abs(xp) <= TINY_SLOPE):
-        raise DegenerateSourceError(float(q[np.argmax(np.abs(xp) <= TINY_SLOPE)]))
-    return -yp / xp + (1.0 - q) * (ys * xp - yp * xs) / xp**2
-
-
-def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int, refine: int = 10) -> np.ndarray:
-    """The N weights applied to the sorted first-price bids: the integral of
-    -x(q) Z'(q) over each bid's cell, by the trapezoid rule on a grid
-    `refine` times finer than the sample resolution (endpoints clamped)."""
-    m = refine * N
-    q = np.linspace(0.0, 1.0, m + 1)
-    qe = np.clip(q, 0.5 / N, 1.0 - 0.5 / N)
-    g = -x.x(qe) * _zprime(y, x, qe)
-    # trapezoid cells, then aggregate each run of `refine` cells per bid
-    cell = 0.5 * (g[:-1] + g[1:]) / m
-    return cell.reshape(N, refine).sum(axis=1)
-
-
 def estimate_revenue_firstprice(
-    sample: BidSample, x: AllocationRule, y: AllocationRule, refine: int = 10, **meta
+    sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
 ) -> EstimateReport:
     """Per-agent revenue of y from first-price bids under x, by integrating
     -x(q) Z'(q) against the empirical bid step function (see
     firstprice_weights)."""
     if sample.format != FIRST_PRICE:
         raise ValueError("sample is not from a first-price auction")
-    w = firstprice_weights(x, y, sample.size, refine)
+    w = firstprice_weights(x, y, sample.size)
     return EstimateReport(
         float(w @ sample.bids),
         meta={"format": FIRST_PRICE, "n": x.n, "N": sample.size,

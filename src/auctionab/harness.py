@@ -16,7 +16,7 @@ import numpy as np
 from .alloc import AllocationRule, MultiUnit, mixture, uniform_stair
 from .dist import Beta22, QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
-from .estim import firstprice_weights, revenue_weights
+from .estim import estimator_weights
 
 CSV_SCHEMA = "# auctionab-mad-v1"
 CSV_HEADER = "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"
@@ -59,6 +59,12 @@ class ExperimentSpec:
     custom_rules: tuple[AllocationRule, AllocationRule] | None = None
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need at least 2 agents (n >= 2)")
+        if self.N < 1:
+            raise ValueError("sample size N must be at least 1")
+        if self.grid_m < 1:
+            raise ValueError("grid_m must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (0.0 < self.eps < 1.0):
@@ -98,7 +104,7 @@ class MadResult:
 
 def _trial_estimates(curve: BidCurve, x: AllocationRule, y: AllocationRule,
                      N: int, seed: int, trials: range) -> np.ndarray:
-    w = (revenue_weights if curve.format == ALL_PAY else firstprice_weights)(x, y, N)
+    w = estimator_weights(curve.format, x, y, N)
     # bare draws: a BidSample re-checks the sorted bids, a fifth of a trial at N=1e4
     out = np.empty(len(trials))
     for j, t in enumerate(trials):

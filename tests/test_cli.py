@@ -39,6 +39,14 @@ class TestSimulate:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    def test_zero_sample_size_exits_one(self, capsys):
+        code = cli_main(["simulate", "--design", "2", "--n", "8", "--N", "0",
+                         "--trials", "5", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: sample size N must be at least 1" in captured.err
+
     def test_deterministic_output(self, capsys):
         argv = ["simulate", "--design", "3", "--n", "8", "--N", "300",
                 "--trials", "10", "--seed", "5"]
@@ -76,6 +84,18 @@ class TestEstimate:
         ])
         assert code == 1
 
+    def test_nan_bid_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("bid\n0.1\nnan\n0.3\n")
+        code = cli_main([
+            "estimate", "--bids", str(path), "--source", "universal-b",
+            "--target", "uniform-stair", "--n", "8", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_bad_rule_exits_one(self, capsys, bids_csv):
         code = cli_main([
             "estimate", "--bids", str(bids_csv), "--source", "k-unit:99",
@@ -108,6 +128,12 @@ class TestCompare:
         assert all(row.split(",")[1] in ("0", "1") for row in data)
         assert any("misclassification_rate" in l for l in lines)
 
+    def test_zero_sample_size_exits_one(self, capsys):
+        code = cli_main(["compare", "--b1", "one-unit", "--b2", "uniform-stair",
+                         "--n", "8", "--N", "0", "--seed", "3"])
+        assert code == 1
+        assert "sample size N must be at least 1" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_table_of_bounds(self, capsys):
@@ -120,6 +146,10 @@ class TestBounds:
         assert "normalized_table" in names
         row = [l for l in lines if "normalized_table" in l][0]
         assert float(row.split(",")[5]) == pytest.approx(9.2103, abs=5e-4)
+
+    def test_zero_sample_size_exits_one(self, capsys):
+        assert cli_main(["bounds", "--design", "2", "--n", "8", "--N", "0", "--seed", "1"]) == 1
+        assert "sample size N must be at least 1" in capsys.readouterr().err
 
 
 class TestTable:

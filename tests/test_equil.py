@@ -169,6 +169,11 @@ class TestBidSample:
         with pytest.raises(ValueError):
             BidSample(ALL_PAY, 2, uniform_stair(2), np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.1, bad, 0.3]))
+
 
 class TestCsvIo:
     def test_round_trip_with_sidecar(self, tmp_path):

@@ -20,6 +20,7 @@ from auctionab.estim import (
     estimate_multiunit_revenues,
     estimate_revenue,
     estimate_welfare,
+    firstprice_weights,
     revenue_weights,
 )
 
@@ -105,6 +106,22 @@ class TestAllPayEstimator:
 
 
 class TestFirstPriceEstimator:
+    def test_weights_sum_to_target_mean_weight(self):
+        # the weights telescope to F(1) - F(0) = int_0^1 y = mean position
+        # weight of y, since x(0) = y(0) = 0 here
+        for n in (8, 256, 1024):
+            x = mixture(uniform_stair(n), MultiUnit(1, n), 0.001)
+            for y, mean_w in ((MultiUnit(1, n), 1 / n), (uniform_stair(n), 0.5),
+                              (MultiUnit(n // 2, n), 0.5)):
+                assert abs(firstprice_weights(x, y, 1000).sum() - mean_w) <= 1e-12
+
+    def test_self_weights_integrate_the_rule(self):
+        # with y = x, F is the integral of x, so each weight is x's cell mass
+        x = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5)
+        q = np.arange(501) / 500
+        np.testing.assert_allclose(firstprice_weights(x, x, 500), np.diff(x.xint(q)),
+                                   rtol=0.0, atol=1e-15)
+
     def test_recovers_truth_design3(self):
         d = Beta22()
         x = mixture(MultiUnit(7, 8), MultiUnit(1, 8), 0.001)

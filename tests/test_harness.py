@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from auctionab.alloc import MultiUnit, uniform_stair
-from auctionab.equil import allpay_bid_curve
-from auctionab.dist import Beta22, QuantileGrid
+from auctionab.alloc import MultiUnit, mixture, uniform_stair
+from auctionab.equil import FIRST_PRICE, allpay_bid_curve, bid_curve
+from auctionab.dist import Beta22, QuantileGrid, true_revenue
 from auctionab.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -33,6 +33,11 @@ class TestExperimentSpec:
             ExperimentSpec(design=1, n=8, N=100, trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(design=1, n=8, N=100, eps=1.5)
+
+    def test_sizes_rejected_at_construction(self):
+        for bad in ({"N": 0}, {"N": -5}, {"n": 1}, {"grid_m": 0}):
+            with pytest.raises(ValueError):
+                ExperimentSpec(**{"design": 1, "n": 8, "N": 100, **bad})
 
     def test_negative_mad_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +82,28 @@ class TestRunDesign:
         r1, r2 = run_design(spec1), run_design(spec2)
         se = r1.mc_rel_error_estimate * r1.raw_mad
         assert abs(r1.raw_mad - r2.raw_mad) <= 3 * se
+
+
+class TestFirstPriceCells:
+    def test_unbiased_when_n_is_close_to_N(self):
+        # design 2 with N = 1000: the weights must integrate the target's
+        # slope up to q = 1 (a 10x trapezoid clamped at 1 - 1/(2N) gave mean
+        # estimates -0.0011 and -0.029 against truths 0.0037 and 0.00095)
+        grid = QuantileGrid(10_000)
+        for n in (256, 1024):
+            a, b = design_rules(2, n)
+            c = mixture(a, b, 0.001)
+            est = trial_estimates(bid_curve(FIRST_PRICE, Beta22(), c, grid), c, b, 1000, 7, 5)
+            truth = true_revenue(Beta22(), b, grid)
+            se = est.std(ddof=1) / np.sqrt(5)
+            assert abs(est.mean() - truth) <= 6 * se + 0.02 * truth, n
+
+    def test_bit_identical_and_worker_independent(self, monkeypatch):
+        spec = ExperimentSpec(design=1, n=8, N=400, trials=16, format=FIRST_PRICE, seed=3)
+        monkeypatch.setenv("AUCTIONAB_WORKERS", "1")
+        first, again = run_design(spec), run_design(spec)
+        monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
+        assert first == again == run_design(spec)
 
 
 class TestCsvRow:
