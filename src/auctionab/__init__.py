@@ -55,6 +55,7 @@ from .estim import (
     estimate_expected_value,
     estimate_multiunit_revenues,
     estimate_revenue,
+    estimate_revenues,
     estimate_welfare,
     estimator_weights,
     firstprice_weights,

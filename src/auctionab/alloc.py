@@ -61,35 +61,23 @@ def multi_unit_alloc_deriv(k: int, n: int, q):
     return _binom_pmf(n - 2, k - 1, _as_array(q), n - 1)
 
 
-def _log_comb(m: int, j: int, scale: int = 1) -> float:
-    """log(scale * C(m, j)) with one rounding: the product is an exact
-    integer, and math.log takes integers beyond the float range."""
-    return math.log(scale * math.comb(m, j))
-
-
-def _scaled_poly(logc, a: int, b: int, q: np.ndarray) -> np.ndarray:
-    """exp(logc) * q**a * (1-q)**b evaluated wholly in log space; the huge
-    coefficient and the vanishing powers cancel before exponentiation.
-    0**0 counts as 1 at the endpoints."""
-    out = np.zeros_like(q)
-    interior = (q > 0.0) & (q < 1.0)
-    with np.errstate(under="ignore"):
-        out[interior] = np.exp(
-            logc + a * np.log(q[interior]) + b * np.log1p(-q[interior])
-        )
-    if a == 0:
-        out[q == 0.0] = np.exp(logc)
-    if b == 0:
-        out[q == 1.0] = np.exp(logc)
-    return out
-
-
 def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
-    """scale * P(Bin(m, 1-q) = j): the probability that exactly j of m
-    rivals have quantile above q; zero for j outside 0..m."""
+    """scale * P(Bin(m, 1-q) = j), the chance that exactly j of m rivals
+    have quantile above q (zero for j outside 0..m), in log space so the
+    huge coefficient and the vanishing powers cancel before exponentiation.
+    log(scale * C(m, j)) is rounded once: math.log takes the exact integer
+    beyond the float range.  A power with exponent 0 is never formed, so
+    0**0 counts as 1 at the endpoints; log(0) = -inf gives exact zeros.
+    """
     if not (0 <= j <= m):
         return np.zeros_like(q)
-    return _scaled_poly(_log_comb(m, j, scale), m - j, j, q)
+    e = math.log(scale * math.comb(m, j))
+    with np.errstate(divide="ignore", under="ignore"):
+        if m - j:
+            e = e + (m - j) * np.log(q)
+        if j:
+            e = e + j * np.log1p(-q)
+        return np.exp(e, out=np.empty_like(q))
 
 
 def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ diagnostic naming the module and, when known, the offending quantile.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .bounds import (
 )
 from .dist import QuantileGrid, make_distribution, true_revenue
 from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv
-from .estim import DegenerateSourceError, estimate_revenue, estimator_weights
+from .estim import DegenerateSourceError, SourceGrid, estimate_revenue
 from .harness import (
     CSV_HEADER,
     CSV_SCHEMA,
@@ -115,12 +116,9 @@ def cmd_estimate(args) -> list[str]:
     target = parse_rule(args.target, args.n)
     sample = read_bid_csv(args.bids, args.format, source)
     report = estimate_revenue(sample, source, target, seed=args.seed)
-    inputs = BoundInputs.from_rules(source, target, sample.size)
-    bound = bound_general_y(inputs)
-    out = ["# auctionab-estimate-v1", "design,format,n,N,eps,seed,estimate,truth,abs_error,bound"]
-    row = report.csv_row().rsplit(",", 1)[0] + f",{bound:.10g}"
-    out.append(row)
-    return out
+    bound = bound_general_y(BoundInputs.from_rules(source, target, sample.size))
+    return ["# auctionab-estimate-v1", "design,format,n,N,eps,seed,estimate,truth,abs_error,bound",
+            dataclasses.replace(report, bound=bound).csv_row()]
 
 
 def cmd_compare(args) -> list[str]:
@@ -144,8 +142,7 @@ def cmd_compare(args) -> list[str]:
         "trial,verdict,margin,true_verdict,classifier_bound",
     ]
     # both candidates' weights once; trial t draws from SeedSequence((seed, t))
-    w1 = estimator_weights(args.format, test, b1, args.N)
-    w2 = estimator_weights(args.format, test, b2, args.N)
+    w1, w2 = map(SourceGrid(args.format, test, args.N).weights, (b1, b2))
     wrong = 0
     for t in range(args.trials):
         bids = curve.draw(args.N, np.random.SeedSequence((args.seed, t)))

@@ -174,9 +174,8 @@ def order_statistic_stats(
         take = min(chunk, trials - done)
         vals = dist.v(rng.random((take, n)))
         vals = -np.sort(-vals, axis=1)  # descending: column k-1 is k-th highest
-        for row_mean, row_sq in ((vals.mean(axis=0), (vals**2).mean(axis=0)),):
-            means += take * row_mean
-            m2 += take * row_sq
+        means += take * vals.mean(axis=0)
+        m2 += take * (vals**2).mean(axis=0)
         count += take
         done += take
     means /= count

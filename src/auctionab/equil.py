@@ -189,4 +189,4 @@ def write_bid_csv(sample: BidSample, csv_path, sidecar_path=None) -> None:
 
 def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
     bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
-    return BidSample(fmt, rule.n, rule, np.sort(bids))
+    return BidSample(fmt, rule.n, rule, bids)

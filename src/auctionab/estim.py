@@ -56,37 +56,65 @@ class EstimateReport:
         ) + f",{self.point:.10g},{tr},{err},{bd}"
 
 
-def _ratio(y: AllocationRule, x: AllocationRule, q: np.ndarray, N: int) -> np.ndarray:
-    """y'(q)/x'(q) with the two endpoint evaluations clamped into
-    [1/(2N), 1 - 1/(2N)], where the rules' slopes may both vanish.
-
-    When y and x are the same rule the ratio is exactly 1 everywhere, which
-    keeps the self-estimation identity exact.
+class SourceGrid:
+    """A source rule x evaluated once on the N+1 cell edges q = i/N of N
+    sorted bids.  Every estimator divides by the slope x' at the edges
+    clamped into [1/(2N), 1 - 1/(2N)], where the rules' slopes may both
+    vanish; first-price weights also need x(q).  Targets then build their
+    weights from these one at a time, so no (targets x N) matrix is held.
     """
-    qe = np.clip(q, 0.5 / N, 1.0 - 0.5 / N)
-    yp = y.xprime(qe)
-    xp = x.xprime(qe)
-    bad = (np.abs(xp) <= TINY_SLOPE) & (np.abs(yp) > TINY_SLOPE)
-    if np.any(bad):
-        raise DegenerateSourceError(float(qe[np.argmax(bad)]))
-    both_zero = np.abs(xp) <= TINY_SLOPE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(both_zero, 0.0, yp / np.where(both_zero, 1.0, xp))
-    return r
+
+    def __init__(self, fmt: str, x: AllocationRule, N: int):
+        self.fmt = fmt
+        self.q = np.arange(N + 1) / N
+        self.qe = np.clip(self.q, 0.5 / N, 1.0 - 0.5 / N)
+        self.xp = x.xprime(self.qe)
+        self.flat = np.abs(self.xp) <= TINY_SLOPE
+        self.xq = x.x(self.q) if fmt == FIRST_PRICE else None
+
+    def weights(self, y: AllocationRule) -> np.ndarray:
+        """The N weights whose dot product with the sorted bids estimates
+        y's revenue.  All-pay: the summation-by-parts increments of
+        Z = (1-q) y'/x'.  First-price: the integral of -x Z' over each bid's
+        cell, the increment of F over it."""
+        # y'/x', 0 where both slopes vanish; exactly 1 when y is x (exact self-estimation)
+        yp = y.xprime(self.qe)
+        bad = self.flat & (np.abs(yp) > TINY_SLOPE)
+        if np.any(bad):
+            raise DegenerateSourceError(float(self.qe[np.argmax(bad)]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(self.flat, 0.0, yp / np.where(self.flat, 1.0, self.xp))
+        q = self.q
+        if self.fmt == ALL_PAY:
+            Z = (1.0 - q) * r
+            return Z[:-1] - Z[1:]
+        return np.diff((1.0 - q) * (y.x(q) - self.xq * r) + y.xint(q))
+
+    def revenues(self, bids: np.ndarray, ys) -> np.ndarray:
+        """Each target's revenue estimate from the same sorted bids."""
+        return np.array([float(self.weights(y) @ bids) for y in ys])
+
+    def expected_value(self, bids: np.ndarray) -> float:
+        """Mean agent value from sorted all-pay bids: summation by parts of
+        E_q[b'(q)/x'(q)] with kernel 1/x'(q), boundary terms retained."""
+        if self.fmt != ALL_PAY:
+            raise ValueError("expected-value estimation needs an all-pay sample")
+        if np.any(self.flat):
+            raise DegenerateSourceError(float(self.qe[np.argmax(self.flat)]))
+        zbar = 1.0 / self.xp
+        w = zbar[:-1] - zbar[1:]
+        return float(w @ bids + zbar[-1] * bids[-1] - zbar[0] * bids[0])
 
 
 def revenue_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
     """The N summation-by-parts weights applied to the sorted bids."""
-    q = np.arange(N + 1) / N
-    Z = (1.0 - q) * _ratio(y, x, q, N)
-    return Z[:-1] - Z[1:]
+    return SourceGrid(ALL_PAY, x, N).weights(y)
 
 
 def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
     """The N weights applied to the sorted first-price bids: the integral of
     -x(q) Z'(q) over each bid's cell, the increment of F over it."""
-    q = np.arange(N + 1) / N
-    return np.diff((1.0 - q) * (y.x(q) - x.x(q) * _ratio(y, x, q, N)) + y.xint(q))
+    return SourceGrid(FIRST_PRICE, x, N).weights(y)
 
 
 def estimator_weights(fmt: str, x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
@@ -95,18 +123,22 @@ def estimator_weights(fmt: str, x: AllocationRule, y: AllocationRule, N: int) ->
     return (revenue_weights if fmt == ALL_PAY else firstprice_weights)(x, y, N)
 
 
+def _revenue_report(sample: BidSample, x: AllocationRule, y: AllocationRule,
+                    w: np.ndarray, meta: dict) -> EstimateReport:
+    return EstimateReport(
+        float(w @ sample.bids),
+        meta={"format": sample.format, "n": x.n, "N": sample.size,
+              "source": x.describe(), "target": y.describe(), **meta},
+    )
+
+
 def estimate_revenue_allpay(
     sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
 ) -> EstimateReport:
     """Per-agent revenue of target rule y from all-pay bids under source x."""
     if sample.format != ALL_PAY:
         raise ValueError("sample is not from an all-pay auction")
-    w = revenue_weights(x, y, sample.size)
-    return EstimateReport(
-        float(w @ sample.bids),
-        meta={"format": ALL_PAY, "n": x.n, "N": sample.size,
-              "source": x.describe(), "target": y.describe(), **meta},
-    )
+    return _revenue_report(sample, x, y, revenue_weights(x, y, sample.size), meta)
 
 
 def estimate_revenue_firstprice(
@@ -117,45 +149,31 @@ def estimate_revenue_firstprice(
     firstprice_weights)."""
     if sample.format != FIRST_PRICE:
         raise ValueError("sample is not from a first-price auction")
-    w = firstprice_weights(x, y, sample.size)
-    return EstimateReport(
-        float(w @ sample.bids),
-        meta={"format": FIRST_PRICE, "n": x.n, "N": sample.size,
-              "source": x.describe(), "target": y.describe(), **meta},
-    )
+    return _revenue_report(sample, x, y, firstprice_weights(x, y, sample.size), meta)
 
 
 def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
-    if sample.format == ALL_PAY:
-        return estimate_revenue_allpay(sample, x, y, **meta)
-    return estimate_revenue_firstprice(sample, x, y, **meta)
+    fn = estimate_revenue_allpay if sample.format == ALL_PAY else estimate_revenue_firstprice
+    return fn(sample, x, y, **meta)
+
+
+def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:
+    """The revenue of each target in ys from one sample under source x: the
+    points of estimate_revenue, bit for bit, with x evaluated once."""
+    return SourceGrid(sample.format, x, sample.size).revenues(sample.bids, ys)
 
 
 def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndarray:
     """P_hat_k for k = 1..n-1, each from the format-appropriate estimator
     with the highest-k-bids-win rule as target."""
-    return np.array(
-        [estimate_revenue(sample, x, MultiUnit(k, x.n)).point for k in range(1, x.n)]
-    )
+    return estimate_revenues(sample, x, [MultiUnit(k, x.n) for k in range(1, x.n)])
 
 
 def estimate_expected_value(sample: BidSample, x: AllocationRule, **meta) -> EstimateReport:
-    """Mean agent value from all-pay bids: summation by parts of
-    E_q[b'(q)/x'(q)] with kernel 1/x'(q), boundary terms retained."""
-    if sample.format != ALL_PAY:
-        raise ValueError("expected-value estimation needs an all-pay sample")
-    N = sample.size
-    q = np.arange(N + 1) / N
-    qe = np.clip(q, 0.5 / N, 1.0 - 0.5 / N)
-    xp = x.xprime(qe)
-    if np.any(np.abs(xp) <= TINY_SLOPE):
-        raise DegenerateSourceError(float(qe[np.argmax(np.abs(xp) <= TINY_SLOPE)]))
-    zbar = 1.0 / xp
-    w = zbar[:-1] - zbar[1:]
-    point = float(w @ sample.bids + zbar[-1] * sample.bids[-1] - zbar[0] * sample.bids[0])
+    """Mean agent value from all-pay bids (SourceGrid.expected_value)."""
     return EstimateReport(
-        point,
-        meta={"format": ALL_PAY, "n": x.n, "N": N, "source": x.describe(), **meta},
+        SourceGrid(sample.format, x, sample.size).expected_value(sample.bids),
+        meta={"format": ALL_PAY, "n": x.n, "N": sample.size, "source": x.describe(), **meta},
     )
 
 
@@ -164,10 +182,12 @@ def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights, *
 
         SW = w_1 vbar - sum_{k=1}^{n-1} (w_1 - w_{k+1}) P_k / k
 
-    composed from the expected-value and multi-unit revenue estimators.
+    composed from the expected-value and multi-unit revenue estimators,
+    which share one evaluation of x'.
     """
-    vbar = estimate_expected_value(sample, x).point
-    pk = estimate_multiunit_revenues(sample, x)
+    src = SourceGrid(sample.format, x, sample.size)
+    vbar = src.expected_value(sample.bids)
+    pk = src.revenues(sample.bids, [MultiUnit(k, x.n) for k in range(1, x.n)])
     k = np.arange(1, w.n)
     point = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * pk / k))
     return EstimateReport(

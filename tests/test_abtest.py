@@ -51,6 +51,10 @@ class TestCompareRevenues:
         verdict, _ = compare_revenues(s, x, MultiUnit(5, 8), MultiUnit(1, 8), alpha=100.0)
         assert verdict == 0
 
+    def test_margin_is_python_float(self):
+        x, s = universal_sample(8, 1000, 11)
+        assert type(compare_revenues(s, x, MultiUnit(5, 8), MultiUnit(1, 8))[1]) is float
+
     def test_exact_tie_keeps_incumbent(self):
         x, s = universal_sample(8, 1000, 11)
         verdict, margin = compare_revenues(s, x, MultiUnit(3, 8), MultiUnit(3, 8))

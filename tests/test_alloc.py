@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from auctionab.alloc import (
     universal_b,
     weights_from_marginals,
 )
+from auctionab.alloc import _binom_pmf
 
 
 def direct_alloc(k, n, q):
@@ -88,6 +91,19 @@ class TestMultiUnitDerivatives:
     def test_serve_all_derivatives_vanish(self):
         q = np.linspace(0, 1, 11)
         assert np.all(multi_unit_alloc_deriv(3, 3, q) == 0)
+
+    def test_pmf_endpoints_exact_without_warnings(self):
+        # Bin(m, 1-q) is m at q = 0 and 0 at q = 1: 0**0 = 1, every other pmf 0
+        q = np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (0, 1, 6, 30, 254, 1022):
+                for j in sorted({0, 1, m // 2, m - 1, m} - {-1}):
+                    assert _binom_pmf(m, j, q).tolist() == [j == m, j == 0]
+                    # a scaled coefficient is exp(log(scale)), within an ulp
+                    got = _binom_pmf(m, j, q, m + 1) / (m + 1)
+                    assert got[0] == pytest.approx(float(j == m), abs=0, rel=1e-15)
+                    assert got[1] == pytest.approx(float(j == 0), abs=0, rel=1e-15)
 
 
 class TestPositionWeights:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auctionab.abtest import best_of_r, compare_revenues, revenue_verdict
 from auctionab.alloc import (
     MultiUnit,
     Position,
@@ -12,13 +15,14 @@ from auctionab.alloc import (
     universal_b,
 )
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, expected_value, true_revenue
-from auctionab.equil import ALL_PAY, FIRST_PRICE, allpay_bid_curve, bid_curve, sample_bids
+from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, allpay_bid_curve, bid_curve, sample_bids
 from auctionab.estim import (
     DegenerateSourceError,
     EstimateReport,
     estimate_expected_value,
     estimate_multiunit_revenues,
     estimate_revenue,
+    estimate_revenues,
     estimate_welfare,
     firstprice_weights,
     revenue_weights,
@@ -155,6 +159,49 @@ class TestMultiUnitVector:
         assert len(vec) == 7
         for k in (1, 4, 7):
             assert vec[k - 1] == estimate_revenue(s, x, MultiUnit(k, 8)).point
+
+
+@st.composite
+def multi_target_cases(draw):
+    """A sample of sorted bids in either format, a source rule whose slope
+    never vanishes (half uniform stair), and 2-5 target position rules."""
+    n = draw(st.integers(2, 48))
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+    def rule():
+        return Position(PositionWeights(sorted(draw(st.lists(weight, min_size=n, max_size=n)),
+                                               reverse=True)))
+
+    x = mixture(rule(), uniform_stair(n), 0.5)
+    ys = [rule() for _ in range(draw(st.integers(2, 5)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bids = np.sort(rng.random(draw(st.integers(1, 400))))
+    return BidSample(draw(st.sampled_from([ALL_PAY, FIRST_PRICE])), n, x, bids), x, ys
+
+
+class TestMultiTarget:
+    """Multi-target estimators evaluate the source once and must give
+    exactly the loop of single-target estimates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_target_cases(), st.floats(0.25, 4.0))
+    def test_equal_to_loop_of_single_estimates(self, case, alpha):
+        s, x, ys = case
+        loop = [estimate_revenue(s, x, y).point for y in ys]
+        assert estimate_revenues(s, x, ys).tolist() == loop
+        idx, est = best_of_r(s, x, ys, alpha)
+        assert est.tolist() == loop
+        assert idx == int(np.argmax([loop[0]] + [alpha * p for p in loop[1:]]))
+        assert compare_revenues(s, x, ys[0], ys[1], alpha) == revenue_verdict(loop[0], loop[1], alpha)
+        units = [MultiUnit(k, x.n) for k in range(1, x.n)]
+        pk = [estimate_revenue(s, x, y).point for y in units]
+        assert estimate_multiunit_revenues(s, x).tolist() == pk
+        if s.format == ALL_PAY:
+            w = ys[0].weights
+            vbar = estimate_expected_value(s, x).point
+            k = np.arange(1, w.n)
+            want = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * np.array(pk) / k))
+            assert estimate_welfare(s, x, w).point == want
 
 
 class TestExpectedValue:

@@ -1,10 +1,16 @@
-"""Golden all-pay CLI output: `simulate` cells for designs 1-3 at n = 4 and
+"""Golden CLI output: all-pay `simulate` cells for designs 1-3 at n = 4 and
 32 and one `compare` run, recorded before the first-price weights were
-rebuilt from an antiderivative.  The all-pay path must keep printing the
-same bytes: same draws per trial, same weights, same CSV formatting."""
+rebuilt from an antiderivative, and `estimate` rows in both formats,
+recorded before the estimators shared one source-slope evaluation.  These
+paths must keep printing the same bytes: same draws per trial, same
+weights, same CSV formatting."""
+import numpy as np
 import pytest
 
+from auctionab.alloc import parse_rule
 from auctionab.cli import cli_main
+from auctionab.dist import Beta22, QuantileGrid
+from auctionab.equil import bid_curve, sample_bids
 
 MAD_HEADER = ["# auctionab-mad-v1",
               "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"]
@@ -41,3 +47,29 @@ GOLDEN = {
 def test_output_bytes_unchanged(argv, capsys):
     assert cli_main(argv.split()) == 0
     assert capsys.readouterr().out == "\n".join(GOLDEN[argv]) + "\n"
+
+
+ESTIMATE_HEADER = ["# auctionab-estimate-v1",
+                   "design,format,n,N,eps,seed,estimate,truth,abs_error,bound"]
+
+GOLDEN_ESTIMATE = {
+    "estimate --source universal-b --target k-unit:3 --n 8 --format allpay --seed 4":
+        ESTIMATE_HEADER + [",allpay,8,400,,4,0.2213017625,,,52.11161822"],
+    "estimate --source universal-b --target uniform-stair --n 8 --format firstprice --seed 4":
+        ESTIMATE_HEADER + [",firstprice,8,400,,4,0.1924014563,,,18.13196361"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_ESTIMATE))
+def test_estimate_bytes_unchanged(argv, tmp_path, capsys):
+    """400 equilibrium bids under the source, written in shuffled order so
+    the reader has to sort them."""
+    args = argv.split()
+    fmt = args[args.index("--format") + 1]
+    source = parse_rule(args[args.index("--source") + 1], 8)
+    bids = sample_bids(bid_curve(fmt, Beta22(), source, QuantileGrid(2000)), 400, seed=4).bids
+    path = tmp_path / "bids.csv"
+    np.savetxt(path, np.random.default_rng(0).permutation(bids), header="bid", comments="",
+               fmt="%.17g")
+    assert cli_main(args + ["--bids", str(path)]) == 0
+    assert capsys.readouterr().out == "\n".join(GOLDEN_ESTIMATE[argv]) + "\n"
