@@ -57,7 +57,6 @@ from .estim import (
     estimate_revenue,
     estimate_revenues,
     estimate_welfare,
-    estimator_weights,
     firstprice_weights,
     revenue_weights,
 )

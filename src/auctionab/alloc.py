@@ -177,24 +177,29 @@ def weights_from_marginals(m: MarginalWeights) -> PositionWeights:
 RUN_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationRule:
     """Evaluable allocation rule on [0, 1] with its exact derivative and
     antiderivative.  Immutable; evaluators are pure and thread-safe.
 
-    Every rule is a position rule.  A subclass hands its position weights
-    to `_set_weights` at construction, which finds once the runs [k0, k1]
-    (k1 <= n-1) of equal nonzero marginal weight and the mass
+    Every rule is a position rule, i.e. its vector of position weights; two
+    rules are equal when their weight vectors are.  Build rules with
+    MultiUnit, Position or Mixture.  Construction finds once the runs
+    [k0, k1] (k1 <= n-1) of equal nonzero marginal weight and the mass
     w_k0 - w_{k1+1} of each.  The evaluators here sum closed forms over
     those runs; the n-unit term wbar_n = w_n only adds w_n to x and w_n q
     to its integral.
     """
 
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _runs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False, compare=False)
+    _w: np.ndarray
+    #: what describe() names: k for a multi-unit rule, the (weight, rule)
+    #: components of a mixture, None for a rule named by its weights
+    _label: object = None
+    _runs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False)
 
-    def _set_weights(self, w) -> None:
-        w = np.asarray(w, dtype=float)
+    def __post_init__(self):
+        w = np.array(self._w, dtype=float)
+        w.setflags(write=False)
         wbar = w[:-1] - w[1:]  # wbar[i] is the marginal weight of k = i+1 units
         runs: list[list[int]] = []
         for i in np.flatnonzero(wbar):
@@ -206,6 +211,31 @@ class AllocationRule:
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_runs", tuple(
             (int(i0) + 1, int(i1) + 1, float(w[i0] - w[i1 + 1])) for i0, i1 in runs))
+
+    def __eq__(self, other):
+        if not isinstance(other, AllocationRule):
+            return NotImplemented
+        return np.array_equal(self._w, other._w)
+
+    def __hash__(self):
+        # hash(-0.0) == hash(0.0), as == needs; the bytes of the two differ
+        return hash(tuple(self._w.tolist()))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the weights come back read-only
+        return AllocationRule, (self._w, self._label)
+
+    @property
+    def n(self) -> int:
+        return len(self._w)
+
+    @property
+    def weights(self) -> PositionWeights:
+        return PositionWeights(self._w)
+
+    @property
+    def marginals(self) -> MarginalWeights:
+        return marginal_weights(self.weights)
 
     def x(self, q):
         q = _as_array(q)
@@ -254,7 +284,12 @@ class AllocationRule:
         return out
 
     def describe(self) -> str:
-        raise NotImplementedError
+        label = self._label
+        if label is None:
+            return "position(" + ",".join(f"{v:g}" for v in self._w) + ")"
+        if isinstance(label, int):
+            return f"{label}-unit(n={self.n})"
+        return "+".join(f"{c:g}*{r.describe()}" for c, r in label)
 
     def _slope_candidates(self) -> list[float]:
         """Quantiles where xprime may attain its supremum, in addition to a
@@ -270,71 +305,35 @@ class AllocationRule:
         return sorted(cands)
 
 
-@dataclass(frozen=True)
-class MultiUnit(AllocationRule):
+def MultiUnit(k: int, n: int) -> AllocationRule:
     """Highest-k-bids-win auction with n agents."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 agents")
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"unit count k={self.k} outside 1..{self.n}")
-        self._set_weights(np.arange(self.n) < self.k)
-
-    def describe(self) -> str:
-        return f"{self.k}-unit(n={self.n})"
+    if n < 2:
+        raise ValueError("need at least 2 agents")
+    if not (1 <= k <= n):
+        raise ValueError(f"unit count k={k} outside 1..{n}")
+    return AllocationRule(np.arange(n) < k, int(k))
 
 
-@dataclass(frozen=True)
-class Position(AllocationRule):
+def Position(weights: PositionWeights) -> AllocationRule:
     """Rank-by-bid position auction: mixture over multi-unit auctions with
     the marginal weights of the position environment."""
-
-    weights: PositionWeights
-    marginals: MarginalWeights = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "marginals", marginal_weights(self.weights))
-        self._set_weights(self.weights.w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.n
-
-    def describe(self) -> str:
-        return "position(" + ",".join(f"{v:g}" for v in self.weights.w) + ")"
+    return AllocationRule(weights.w)
 
 
-@dataclass(frozen=True)
-class Mixture(AllocationRule):
+def Mixture(components) -> AllocationRule:
     """Convex combination of allocation rules: the rule of the same convex
     combination of their position weights."""
-
-    components: tuple[tuple[float, AllocationRule], ...]
-
-    def __post_init__(self):
-        comps = tuple((float(w), r) for w, r in self.components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        ns = {r.n for _, r in comps}
-        if len(ns) != 1:
-            raise ValueError(f"mixture components disagree on agent count: {sorted(ns)}")
-        if any(w < 0.0 for w, _ in comps):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(w for w, _ in comps) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        object.__setattr__(self, "components", comps)
-        self._set_weights(sum(w * r._w for w, r in comps))
-
-    @property
-    def n(self) -> int:
-        return self.components[0][1].n
-
-    def describe(self) -> str:
-        return "+".join(f"{w:g}*{r.describe()}" for w, r in self.components)
+    comps = tuple((float(w), r) for w, r in components)
+    if not comps:
+        raise ValueError("mixture needs at least one component")
+    ns = {r.n for _, r in comps}
+    if len(ns) != 1:
+        raise ValueError(f"mixture components disagree on agent count: {sorted(ns)}")
+    if any(w < 0.0 for w, _ in comps):
+        raise ValueError("mixture weights must be nonnegative")
+    if abs(sum(w for w, _ in comps) - 1.0) > 1e-9:
+        raise ValueError("mixture weights must sum to 1")
+    return AllocationRule(sum(w * r._w for w, r in comps), comps)
 
 
 def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:
@@ -354,7 +353,7 @@ def uniform_stair_weights(n: int) -> PositionWeights:
     return PositionWeights((n - k) / (n - 1))
 
 
-def uniform_stair(n: int) -> Position:
+def uniform_stair(n: int) -> AllocationRule:
     return Position(uniform_stair_weights(n))
 
 

@@ -30,6 +30,7 @@ class BoundInputs:
     eps: float
     sup_yprime: float
     sup_xprime: float
+    sup_inv_xprime: float  # sup over the grid of 1/x'(q)
     ratio_up: float    # sup over {q: y'(q) >= 1} of x'(q)/y'(q)
     ratio_down: float  # sup over q of y'(q)/x'(q)
 
@@ -52,6 +53,7 @@ class BoundInputs:
             eps=eps,
             sup_yprime=max_slope(y, grid_size),
             sup_xprime=max_slope(x, grid_size),
+            sup_inv_xprime=float(np.max(1.0 / np.maximum(xp, 1e-300))),
             ratio_up=up,
             ratio_down=float(np.max(down)),
         )

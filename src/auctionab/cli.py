@@ -12,10 +12,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .abtest import revenue_verdict
-from .alloc import AllocationRule, DegenerateRuleError, max_slope, mixture, parse_rule
+from .alloc import DegenerateRuleError, max_slope, mixture, parse_rule
 from .bounds import (
     BoundInputs,
     bound_allpay_k,
@@ -30,7 +28,7 @@ from .bounds import (
 )
 from .dist import QuantileGrid, make_distribution, true_revenue
 from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv
-from .estim import DegenerateSourceError, SourceGrid, estimate_revenue
+from .estim import DegenerateSourceError, estimate_revenue
 from .harness import (
     CSV_HEADER,
     CSV_SCHEMA,
@@ -40,6 +38,7 @@ from .harness import (
     full_table,
     mad_csv_row,
     run_design,
+    trial_estimates,
 )
 
 
@@ -73,10 +72,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _sim_flags(p: argparse.ArgumentParser) -> None:
+    """The Monte Carlo cell flags that simulate and sweep share."""
     p.add_argument("--design", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.001)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--grid-m", type=int, default=10_000)
     p.add_argument("--dist", default="beta22")
@@ -123,6 +120,10 @@ def cmd_estimate(args) -> list[str]:
 
 def cmd_compare(args) -> list[str]:
     _check_sample_size(args.N)
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (0.0 < args.eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
     n = args.n
     incumbent = parse_rule(args.incumbent, n)
     b1 = parse_rule(args.b1, n)
@@ -141,12 +142,10 @@ def cmd_compare(args) -> list[str]:
         "# auctionab-compare-v1",
         "trial,verdict,margin,true_verdict,classifier_bound",
     ]
-    # both candidates' weights once; trial t draws from SeedSequence((seed, t))
-    w1, w2 = map(SourceGrid(args.format, test, args.N).weights, (b1, b2))
+    est = trial_estimates(curve, test, (b1, b2), args.N, args.seed, args.trials)
     wrong = 0
-    for t in range(args.trials):
-        bids = curve.draw(args.N, np.random.SeedSequence((args.seed, t)))
-        verdict, margin = revenue_verdict(w1 @ bids, w2 @ bids, args.alpha)
+    for t, (e1, e2) in enumerate(est):
+        verdict, margin = revenue_verdict(e1, e2, args.alpha)
         wrong += int(verdict != true_verdict)
         out.append(f"{t},{verdict},{margin:.10g},{true_verdict},{cls_bound:.10g}")
     out.append(f"# misclassification_rate,{wrong / args.trials:.10g}")
@@ -159,8 +158,6 @@ def cmd_bounds(args) -> list[str]:
     a, b = design_rules(args.design, args.n)
     c = mixture(a, b, args.eps)
     inputs = BoundInputs.from_rules(c, b, args.N, args.eps)
-    qc = np.clip(np.linspace(0.0, 1.0, 10_001), 0.5 / args.N, 1.0 - 0.5 / args.N)
-    sup_inv = float(np.max(1.0 / np.maximum(c.xprime(qc), 1e-300)))
     rows = [
         ("multi_unit_target", bound_allpay_k(inputs)),
         ("general_target", bound_general_y(inputs)),
@@ -168,7 +165,7 @@ def cmd_bounds(args) -> list[str]:
         ("mixture_general", bound_mixture(args.eps, args.N, args.n, inputs.sup_yprime)),
         ("mixture_multi_unit", bound_mixture(args.eps, args.N, args.n, inputs.sup_yprime, multi_unit=True)),
         ("universal_all_k", bound_universal(args.eps, args.N, args.n)),
-        ("expected_value", bound_expected_value(args.N, args.n, inputs.sup_xprime, sup_inv)),
+        ("expected_value", bound_expected_value(args.N, args.n, inputs.sup_xprime, inputs.sup_inv_xprime)),
         ("welfare", bound_welfare(args.eps, args.N, args.n)),
         ("normalized_table", normalized_table_bound(args.design, args.n, args.eps)),
     ]
@@ -198,18 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one Monte Carlo MAD cell")
     _sim_flags(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--eps", type=float, default=0.001)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="relative error versus mixture weight")
-    p.add_argument("--design", type=int, required=True, choices=(1, 2, 3))
+    _sim_flags(p)
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--eps-list", required=True, help="comma-separated mixture weights")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--grid-m", type=int, default=10_000)
-    p.add_argument("--dist", default="beta22")
-    p.add_argument("--format", default=ALL_PAY, choices=(ALL_PAY, FIRST_PRICE))
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -65,6 +65,8 @@ class SourceGrid:
     """
 
     def __init__(self, fmt: str, x: AllocationRule, N: int):
+        if fmt not in (ALL_PAY, FIRST_PRICE):
+            raise ValueError(f"unknown payment format {fmt!r}")
         self.fmt = fmt
         self.q = np.arange(N + 1) / N
         self.qe = np.clip(self.q, 0.5 / N, 1.0 - 0.5 / N)
@@ -107,26 +109,20 @@ class SourceGrid:
 
 
 def revenue_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
-    """The N summation-by-parts weights applied to the sorted bids."""
+    """The N summation-by-parts weights applied to the sorted all-pay bids."""
     return SourceGrid(ALL_PAY, x, N).weights(y)
 
 
 def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
-    """The N weights applied to the sorted first-price bids: the integral of
-    -x(q) Z'(q) over each bid's cell, the increment of F over it."""
+    """The N weights applied to the sorted first-price bids."""
     return SourceGrid(FIRST_PRICE, x, N).weights(y)
 
 
-def estimator_weights(fmt: str, x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
-    """The revenue weights of the payment format's estimator: y's revenue
-    is their dot product with N sorted bids from source x."""
-    return (revenue_weights if fmt == ALL_PAY else firstprice_weights)(x, y, N)
-
-
-def _revenue_report(sample: BidSample, x: AllocationRule, y: AllocationRule,
-                    w: np.ndarray, meta: dict) -> EstimateReport:
+def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
+    """Per-agent revenue of target rule y from bids under source x, by the
+    estimator of the sample's payment format (SourceGrid.weights)."""
     return EstimateReport(
-        float(w @ sample.bids),
+        float(SourceGrid(sample.format, x, sample.size).weights(y) @ sample.bids),
         meta={"format": sample.format, "n": x.n, "N": sample.size,
               "source": x.describe(), "target": y.describe(), **meta},
     )
@@ -135,26 +131,10 @@ def _revenue_report(sample: BidSample, x: AllocationRule, y: AllocationRule,
 def estimate_revenue_allpay(
     sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
 ) -> EstimateReport:
-    """Per-agent revenue of target rule y from all-pay bids under source x."""
+    """estimate_revenue for a sample that must be all-pay."""
     if sample.format != ALL_PAY:
         raise ValueError("sample is not from an all-pay auction")
-    return _revenue_report(sample, x, y, revenue_weights(x, y, sample.size), meta)
-
-
-def estimate_revenue_firstprice(
-    sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
-) -> EstimateReport:
-    """Per-agent revenue of y from first-price bids under x, by integrating
-    -x(q) Z'(q) against the empirical bid step function (see
-    firstprice_weights)."""
-    if sample.format != FIRST_PRICE:
-        raise ValueError("sample is not from a first-price auction")
-    return _revenue_report(sample, x, y, firstprice_weights(x, y, sample.size), meta)
-
-
-def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
-    fn = estimate_revenue_allpay if sample.format == ALL_PAY else estimate_revenue_firstprice
-    return fn(sample, x, y, **meta)
+    return estimate_revenue(sample, x, y, **meta)
 
 
 def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .alloc import AllocationRule, MultiUnit, mixture, uniform_stair
 from .dist import Beta22, QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
-from .estim import estimator_weights
+from .estim import SourceGrid
 
 CSV_SCHEMA = "# auctionab-mad-v1"
 CSV_HEADER = "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"
@@ -97,13 +97,14 @@ class MadResult:
             raise ValueError("mean absolute deviation cannot be negative")
 
 
-def _trial_estimates(curve: BidCurve, x: AllocationRule, y: AllocationRule,
-                     N: int, seed: int, trials: range) -> np.ndarray:
-    w = estimator_weights(curve.format, x, y, N)
+def _trial_estimates(curve: BidCurve, ws: list[np.ndarray], N: int, seed: int,
+                     trials: range) -> np.ndarray:
     # bare draws: a BidSample re-checks the sorted bids, a fifth of a trial at N=1e4
-    out = np.empty(len(trials))
+    out = np.empty((len(trials), len(ws)))
     for j, t in enumerate(trials):
-        out[j] = w @ curve.draw(N, np.random.SeedSequence((seed, t)))
+        bids = curve.draw(N, np.random.SeedSequence((seed, t)))
+        for i, w in enumerate(ws):
+            out[j, i] = w @ bids
     return out
 
 
@@ -111,17 +112,20 @@ def _worker(args):
     return _trial_estimates(*args)
 
 
-def trial_estimates(curve: BidCurve, x: AllocationRule, y: AllocationRule,
-                    N: int, seed: int, trials: int) -> np.ndarray:
-    """P_hat over `trials` replicates; trial t is seeded from (seed, t) so
-    the result is independent of worker count (AUCTIONAB_WORKERS)."""
+def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
+                    trials: int) -> np.ndarray:
+    """P_hat of each target in ys over `trials` replicates, one row per
+    trial; every target is estimated from the trial's bids, with weights
+    built once.  Trial t is seeded from (seed, t), so the result is
+    independent of worker count (AUCTIONAB_WORKERS)."""
+    ws = list(map(SourceGrid(curve.format, x, N).weights, ys))
     workers = int(os.environ.get("AUCTIONAB_WORKERS", "1"))
     if workers <= 1 or trials < 4 * workers:
-        return _trial_estimates(curve, x, y, N, seed, range(trials))
+        return _trial_estimates(curve, ws, N, seed, range(trials))
     chunks = [range(i, trials, workers) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker, [(curve, x, y, N, seed, c) for c in chunks]))
-    out = np.empty(trials)
+        parts = list(pool.map(_worker, [(curve, ws, N, seed, c) for c in chunks]))
+    out = np.empty((trials, len(ws)))
     for c, part in zip(chunks, parts):
         out[list(c)] = part
     return out
@@ -136,7 +140,7 @@ def _cell(spec: ExperimentSpec) -> tuple[float, np.ndarray]:
     grid = QuantileGrid(spec.grid_m)
     curve = bid_curve(spec.format, dist, c, grid)
     truth = true_revenue(dist, b, grid)
-    return truth, trial_estimates(curve, c, b, spec.N, spec.seed, spec.trials)
+    return truth, trial_estimates(curve, c, (b,), spec.N, spec.seed, spec.trials)[:, 0]
 
 
 def run_design(spec: ExperimentSpec) -> MadResult:

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -232,8 +233,8 @@ class TestParseRule:
     def test_presets(self):
         assert parse_rule("one-unit", 8) == MultiUnit(1, 8)
         assert parse_rule("k-unit:3", 8) == MultiUnit(3, 8)
-        assert isinstance(parse_rule("uniform-stair", 8), Position)
-        assert isinstance(parse_rule("universal-b", 8), Position)
+        assert parse_rule("uniform-stair", 8) == uniform_stair(8)
+        assert parse_rule("universal-b", 8) == Position(universal_b(8))
 
     def test_weight_list(self):
         rule = parse_rule("1,0.5,0", 3)
@@ -244,6 +245,53 @@ class TestParseRule:
             parse_rule("nonsense", 4)
         with pytest.raises(ValueError):
             parse_rule("1,0.5", 3)
+
+
+class TestRuleIdentity:
+    """A rule is its position-weight vector, whichever constructor built it."""
+
+    def test_equal_weights_equal_rules(self):
+        for k, n in ((1, 2), (3, 8), (8, 8)):
+            a, b = MultiUnit(k, n), Position(PositionWeights([1.0] * k + [0.0] * (n - k)))
+            assert a == b and hash(a) == hash(b)
+        assert uniform_stair(8) == uniform_stair(8)
+        assert hash(uniform_stair(8)) == hash(uniform_stair(8))
+        assert mixture(MultiUnit(1, 4), MultiUnit(1, 4), 0.3) == MultiUnit(1, 4)
+        assert MultiUnit(1, 4) != MultiUnit(2, 4)
+        assert MultiUnit(1, 4) != MultiUnit(1, 5)
+
+    def test_negative_zero_weight(self):
+        a = Position(PositionWeights([1.0, 0.0]))
+        b = Position(PositionWeights([1.0, -0.0]))
+        assert a == b and hash(a) == hash(b) == hash(MultiUnit(1, 2))
+
+    def test_dict_keys(self):
+        table = {MultiUnit(1, 4): "one", uniform_stair(4): "stair"}
+        assert table[Position(PositionWeights([1.0, 0.0, 0.0, 0.0]))] == "one"
+        assert table[parse_rule("uniform-stair", 4)] == "stair"
+        assert len({MultiUnit(2, 4), parse_rule("k-unit:2", 4), parse_rule("1,1,0,0", 4)}) == 1
+
+    def test_pickle_round_trip(self):
+        rules = (MultiUnit(2, 5), Position(universal_b(5)),
+                 mixture(MultiUnit(1, 5), uniform_stair(5), 0.25))
+        for rule in rules:
+            back = pickle.loads(pickle.dumps(rule))
+            assert back == rule and back.describe() == rule.describe()
+            assert not back._w.flags.writeable
+
+    def test_describe_strings(self):
+        assert MultiUnit(3, 8).describe() == "3-unit(n=8)"
+        assert Position(universal_b(5)).describe() == "position(1,0.5,0.5,0.5,0)"
+        nested = mixture(MultiUnit(1, 4), mixture(MultiUnit(2, 4), uniform_stair(4), 0.5), 0.1)
+        assert nested.describe() == \
+            "0.9*1-unit(n=4)+0.1*0.5*2-unit(n=4)+0.5*position(1,0.666667,0.333333,0)"
+
+    def test_immutable(self):
+        for rule in (MultiUnit(1, 4), mixture(MultiUnit(1, 4), uniform_stair(4), 0.5)):
+            with pytest.raises(AttributeError):
+                rule._w = np.zeros(4)
+            with pytest.raises(ValueError):
+                rule._w[0] = 0.5
 
 
 @st.composite

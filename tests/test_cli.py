@@ -134,6 +134,32 @@ class TestCompare:
         assert code == 1
         assert "sample size N must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "0", "trials must be at least 1"),
+        ("--trials", "-3", "trials must be at least 1"),
+        ("--eps", "0", "eps must lie in (0, 1]"),
+        ("--eps", "-0.1", "eps must lie in (0, 1]"),
+        ("--eps", "1.5", "eps must lie in (0, 1]"),
+    ])
+    def test_bad_trials_or_eps_exits_one(self, capsys, flag, value, message):
+        code = cli_main(["compare", "--b1", "one-unit", "--b2", "uniform-stair",
+                         "--n", "8", "--N", "100", "--seed", "3", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
+        argv = ["compare", "--b1", "k-unit:2", "--b2", "uniform-stair", "--n", "8",
+                "--N", "300", "--trials", "12", "--eps", "0.1", "--grid-m", "2000",
+                "--seed", "5"]
+        monkeypatch.setenv("AUCTIONAB_WORKERS", "1")
+        _, serial = run(capsys, argv)
+        monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
+        _, parallel = run(capsys, argv)
+        assert len(serial) == 2 + 12 + 2
+        assert serial == parallel
+
 
 class TestBounds:
     def test_table_of_bounds(self, capsys):

@@ -1,8 +1,9 @@
 """Golden CLI output: all-pay `simulate` cells for designs 1-3 at n = 4 and
 32 and one `compare` run, recorded before the first-price weights were
-rebuilt from an antiderivative, and `estimate` rows in both formats,
-recorded before the estimators shared one source-slope evaluation.  These
-paths must keep printing the same bytes: same draws per trial, same
+rebuilt from an antiderivative; `estimate` rows in both formats, recorded
+before the estimators shared one source-slope evaluation; and `bounds`
+tables, recorded before the bound inputs took over the sup 1/x' grid.
+These paths must keep printing the same bytes: same draws per trial, same
 weights, same CSV formatting."""
 import numpy as np
 import pytest
@@ -41,6 +42,35 @@ GOLDEN = {
         "# sup_target_slope,2.813143004",
     ],
 }
+
+BOUNDS_HEADER = ["# auctionab-bounds-v1", "design,n,N,eps,bound_name,value"]
+BOUND_NAMES = ["multi_unit_target", "general_target", "ideal_split", "mixture_general",
+               "mixture_multi_unit", "universal_all_k", "expected_value", "welfare",
+               "normalized_table"]
+
+
+def bounds_rows(cell: str, values: str) -> list[str]:
+    return BOUNDS_HEADER + [f"{cell},{name},{v}" for name, v in zip(BOUND_NAMES, values.split())]
+
+
+GOLDEN.update({
+    "bounds --design 1 --n 8 --N 1000 --seed 0": bounds_rows(
+        "1,8,1000,0.001", "8.73769608 42.63216105 1 1.159157913 11.36800469 150.8558767 "
+                          "42.63216105 368.0622934 4.695740023"),
+    "bounds --design 2 --n 8 --N 1000 --seed 0": bounds_rows(
+        "2,8,1000,0.001", "17.15047025 69.95805269 7 8.114105391 79.57603285 150.8558767 "
+                          "5.160159237 368.0622934 9.210340372"),
+    "bounds --design 3 --n 8 --N 1000 --seed 0": bounds_rows(
+        "3,8,1000,0.001", "61.16387256 256.4601274 7 8.114105391 79.57603285 150.8558767 "
+                          "34.44447067 368.0622934 9.210340372"),
+    # N = 2 clamps the grid to [1/4, 3/4], inside the interior minimum of x'
+    "bounds --design 3 --n 4 --N 2 --seed 0": bounds_rows(
+        "3,4,2,0.001", "185.7645662 450.8215884 67.08203932 41.43149564 703.7734493 1234.071636 "
+                       "118.8920004 4263.206492 9.210340372"),
+    "bounds --design 1 --n 1024 --N 10000 --seed 0": bounds_rows(
+        "1,1024,10000,0.001", "2.763102112 334.9852932 0.316227766 11.6593555 5.535690834 "
+                              "422259.8166 335.7179179 2927450.787 2.28112038"),
+})
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

@@ -93,7 +93,7 @@ class TestFirstPriceCells:
         for n in (256, 1024):
             a, b = design_rules(2, n)
             c = mixture(a, b, 0.001)
-            est = trial_estimates(bid_curve(FIRST_PRICE, Beta22(), c, grid), c, b, 1000, 7, 5)
+            est = trial_estimates(bid_curve(FIRST_PRICE, Beta22(), c, grid), c, (b,), 1000, 7, 5)[:, 0]
             truth = true_revenue(Beta22(), b, grid)
             se = est.std(ddof=1) / np.sqrt(5)
             assert abs(est.mean() - truth) <= 6 * se + 0.02 * truth, n
