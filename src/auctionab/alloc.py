@@ -322,7 +322,8 @@ def Position(weights: PositionWeights) -> AllocationRule:
 
 def Mixture(components) -> AllocationRule:
     """Convex combination of allocation rules: the rule of the same convex
-    combination of their position weights."""
+    combination of their position weights.  The combined weights are divided
+    by the coefficient sum (within 1e-9 of 1), so no rule serves above 1."""
     comps = tuple((float(w), r) for w, r in components)
     if not comps:
         raise ValueError("mixture needs at least one component")
@@ -331,9 +332,10 @@ def Mixture(components) -> AllocationRule:
         raise ValueError(f"mixture components disagree on agent count: {sorted(ns)}")
     if any(w < 0.0 for w, _ in comps):
         raise ValueError("mixture weights must be nonnegative")
-    if abs(sum(w for w, _ in comps) - 1.0) > 1e-9:
+    total = sum(w for w, _ in comps)
+    if abs(total - 1.0) > 1e-9:
         raise ValueError("mixture weights must sum to 1")
-    return AllocationRule(sum(w * r._w for w, r in comps), comps)
+    return AllocationRule(sum(w * r._w for w, r in comps) / total, comps)
 
 
 def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:

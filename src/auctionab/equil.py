@@ -13,11 +13,10 @@ discrete one the estimators assume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .alloc import AllocationRule, DegenerateRuleError
 from .dist import DEFAULT_GRID, QuantileGrid, ValueDistribution
@@ -40,6 +39,9 @@ class BidCurve:
     rule: AllocationRule
     grid: QuantileGrid
     b: np.ndarray
+    #: the bids never decrease along the grid and none has its sign bit set
+    #: (no NaN, no -0.0 beside 0.0), so counting draws reproduces sorting them
+    ordered: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.format not in (ALL_PAY, FIRST_PRICE):
@@ -49,6 +51,8 @@ class BidCurve:
             raise ValueError("bid vector does not match grid")
         object.__setattr__(self, "b", b)
         self.b.setflags(write=False)
+        ordered = np.all(b[1:] >= b[:-1]) and not np.signbit(b).any()
+        object.__setattr__(self, "ordered", bool(ordered))
 
     def draw(self, N: int, seed) -> np.ndarray:
         """N bids drawn with replacement from the grid bids (uniform quantile
@@ -57,11 +61,21 @@ class BidCurve:
         Deterministic given the seed.  The generator is numpy's default_rng
         (PCG64); `seed` may be an int or a numpy SeedSequence, which is how
         the Monte Carlo harness derives independent per-trial streams.
+
+        On an ordered curve, a sample at least twice the grid size is built
+        by counting how often each grid bid was drawn, in O(N + m) with no
+        sort; the result is the same array, bit for bit.  Below that size,
+        repeating each of the m + 1 grid bids costs more than the sort.
         """
         if N < 1:
             raise ValueError("sample size must be positive")
-        idx = np.random.default_rng(seed).integers(0, len(self.b), size=N)
-        return np.sort(self.b[idx])
+        b = self.b
+        idx = np.random.default_rng(seed).integers(0, len(b), size=N)
+        if self.ordered and N >= 2 * len(b):
+            return np.repeat(b, np.bincount(idx, minlength=len(b)))
+        bids = b[idx]
+        bids.sort()
+        return bids
 
 
 @dataclass(frozen=True)
@@ -91,11 +105,17 @@ class BidSample:
         return len(self.bids)
 
 
+def _cumulative_trapezoid(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over q, starting at 0: the same
+    floating-point expression as scipy's cumulative_trapezoid(initial=0)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(q) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def allpay_bid_curve(
     dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
 ) -> BidCurve:
     q = grid.q
-    b = cumulative_trapezoid(dist.v(q) * rule.xprime(q), q, initial=0.0)
+    b = _cumulative_trapezoid(dist.v(q) * rule.xprime(q), q)
     return BidCurve(ALL_PAY, rule, grid, b)
 
 
@@ -103,7 +123,7 @@ def firstprice_bid_curve(
     dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
 ) -> BidCurve:
     q = grid.q
-    num = cumulative_trapezoid(dist.v(q) * rule.xprime(q), q, initial=0.0)
+    num = _cumulative_trapezoid(dist.v(q) * rule.xprime(q), q)
     xq = rule.x(q)
     dead = xq < EPS_ALLOC
     if np.any(dead & (q > 0.5)):

@@ -33,6 +33,9 @@ class DegenerateSourceError(ValueError):
         self.quantile = quantile
         super().__init__(f"source allocation slope vanishes at q={quantile:.6g}")
 
+    def __reduce__(self):
+        return type(self), (self.quantile,)
+
 
 @dataclass(frozen=True)
 class EstimateReport:

@@ -207,6 +207,13 @@ class TestMixture:
         with pytest.raises(ValueError):
             Mixture(((0.5, MultiUnit(1, 4)), (0.4, MultiUnit(2, 4))))
 
+    def test_coefficients_off_by_rounding_never_serve_above_one(self):
+        r = Mixture(((0.5 + 1e-10, MultiUnit(1, 4)), (0.5, MultiUnit(1, 4))))
+        q = np.linspace(0, 1, 101)
+        assert np.all(r.x(q) <= 1.0)
+        assert r.x(0.5) <= 0.125 + 1e-15
+        np.testing.assert_array_equal(r.weights.w, [1.0, 0.0, 0.0, 0.0])
+
 
 class TestMaxSlope:
     def test_uniform_stair_slope_one(self):

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import auctionab
 from auctionab.alloc import (
     DegenerateRuleError,
     MultiUnit,
@@ -13,6 +21,7 @@ from auctionab.dist import Beta22, QuantileGrid, Uniform01, true_revenue
 from auctionab.equil import (
     ALL_PAY,
     FIRST_PRICE,
+    BidCurve,
     BidSample,
     allpay_bid_curve,
     bid_curve,
@@ -50,6 +59,15 @@ class TestAllPayCurve:
                 c = allpay_bid_curve(d, rule, GRID)
                 assert c.b[0] == 0.0
                 assert np.all(np.diff(c.b) >= -1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 100, 10_000])
+    def test_same_bits_as_scipy_cumulative_trapezoid(self, m):
+        from scipy.integrate import cumulative_trapezoid
+
+        g = QuantileGrid(m)
+        for rule in (MultiUnit(1, 32), MultiUnit(31, 32), uniform_stair(32)):
+            ref = cumulative_trapezoid(Beta22().v(g.q) * rule.xprime(g.q), g.q, initial=0.0)
+            assert allpay_bid_curve(Beta22(), rule, g).b.tobytes() == ref.tobytes()
 
     def test_mean_bid_equals_per_agent_revenue(self):
         # all-pay: every agent pays their bid, so E[b] is the per-agent revenue
@@ -141,6 +159,53 @@ class TestSampling:
         c = allpay_bid_curve(Uniform01(), uniform_stair(4), GRID)
         with pytest.raises(ValueError):
             sample_bids(c, 0, 1)
+
+
+def _sorted_gather(curve, N, seed):
+    idx = np.random.default_rng(seed).integers(0, len(curve.b), size=N)
+    return np.sort(curve.b[idx])
+
+
+class TestDraw:
+    """`draw` counts the grid bids once the sample is twice the grid size
+    and the curve is ordered, and gathers and sorts otherwise; both give the
+    array that sorting the gathered draws gives, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fmt=st.sampled_from([ALL_PAY, FIRST_PRICE]), m=st.integers(1, 300),
+           k=st.integers(2, 8), offset=st.integers(-2, 2), scale=st.sampled_from([0.5, 1, 2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_sorted_gather(self, fmt, m, k, offset, scale, seed):
+        c = bid_curve(fmt, Beta22(), MultiUnit(k - 1, k), QuantileGrid(m))
+        N = max(1, int(scale * len(c.b)) + offset)
+        out = c.draw(N, np.random.SeedSequence((seed, 3)))
+        assert out.tobytes() == _sorted_gather(c, N, np.random.SeedSequence((seed, 3))).tobytes()
+
+    @pytest.mark.parametrize("b, ordered", [
+        ([0.0, 0.3, 0.2, 0.5, 0.5], False),      # not monotone
+        ([0.0, 0.1, np.nan, 0.4, 0.5], False),   # a NaN fails the order check
+        ([-0.0, 0.0, -0.0, 0.2, 0.3], False),    # equal values with different bits
+        ([0.0, 0.1, 0.1, 0.4, 0.9], True),       # ties
+    ])
+    @pytest.mark.parametrize("N", [1, 4, 5, 6, 9, 10, 11, 50])
+    def test_hand_built_curves(self, b, ordered, N):
+        c = BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), np.array(b))
+        assert c.ordered is ordered
+        assert c.draw(N, 8).tobytes() == _sorted_gather(c, N, 8).tobytes()
+
+    def test_equilibrium_curves_are_ordered(self):
+        for rule in (MultiUnit(1, 8), MultiUnit(7, 8), uniform_stair(8)):
+            assert allpay_bid_curve(Beta22(), rule, GRID).ordered
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """A fresh interpreter pays only for scipy.special, not scipy.integrate
+    and the optimize/linalg/sparse stack it loads."""
+    code = "import sys, auctionab; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestEmpiricalBidFunction:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,12 @@ class TestAllPayEstimator:
         s = allpay_sample(Uniform01(), uniform_stair(2), 100, 0)
         with pytest.raises(DegenerateSourceError):
             estimate_revenue(s, rule, uniform_stair(2))
+
+    def test_degenerate_source_error_pickles(self):
+        e = pickle.loads(pickle.dumps(DegenerateSourceError(0.5)))
+        assert isinstance(e, DegenerateSourceError)
+        assert e.quantile == 0.5
+        assert str(e) == "source allocation slope vanishes at q=0.5"
 
     def test_format_mismatch_rejected(self):
         s = sample_bids(bid_curve(FIRST_PRICE, Uniform01(), uniform_stair(4), GRID), 100, 0)

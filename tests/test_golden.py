@@ -2,16 +2,19 @@
 32 and one `compare` run, recorded before the first-price weights were
 rebuilt from an antiderivative; `estimate` rows in both formats, recorded
 before the estimators shared one source-slope evaluation; and `bounds`
-tables, recorded before the bound inputs took over the sup 1/x' grid.
-These paths must keep printing the same bytes: same draws per trial, same
-weights, same CSV formatting."""
+tables, recorded before the bound inputs took over the sup 1/x' grid; and
+`simulate` cells in both formats that draw far more bids than the grid has
+points, recorded before such draws were built by counting.  These paths
+must keep printing the same bytes: same draws per trial, same weights, same
+CSV formatting."""
 import numpy as np
 import pytest
 
-from auctionab.alloc import parse_rule
+from auctionab.alloc import mixture, parse_rule
 from auctionab.cli import cli_main
 from auctionab.dist import Beta22, QuantileGrid
 from auctionab.equil import bid_curve, sample_bids
+from auctionab.harness import ExperimentSpec
 
 MAD_HEADER = ["# auctionab-mad-v1",
               "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"]
@@ -71,6 +74,30 @@ GOLDEN.update({
         "1,1024,10000,0.001", "2.763102112 334.9852932 0.316227766 11.6593555 5.535690834 "
                               "422259.8166 335.7179179 2927450.787 2.28112038"),
 })
+
+# N = 1000 draws from a 101-point grid: the counting path of BidCurve.draw
+COUNTING = {
+    "simulate --design 2 --n 32 --N 1000 --trials 8 --grid-m 100 --seed 11 --format allpay":
+        MAD_HEADER + ["2,32,1000,0.001,8,11,0.04211943674,0.04162292308,0.2354548093,9.210340372"],
+    "simulate --design 3 --n 32 --N 1000 --trials 8 --grid-m 100 --seed 11 --format allpay":
+        MAD_HEADER + ["3,32,1000,0.001,8,11,0.1841651764,0.1819941947,1.029514634,9.210340372"],
+    "simulate --design 2 --n 32 --N 1000 --trials 8 --grid-m 100 --seed 11 --format firstprice":
+        MAD_HEADER + ["2,32,1000,0.001,8,11,0.01934309243,0.01911507158,0.1081311739,9.210340372"],
+    "simulate --design 3 --n 32 --N 1000 --trials 8 --grid-m 100 --seed 11 --format firstprice":
+        MAD_HEADER + ["3,32,1000,0.001,8,11,0.1674606997,0.1654866343,0.9361337704,9.210340372"],
+}
+GOLDEN.update(COUNTING)
+
+
+@pytest.mark.parametrize("argv", sorted(COUNTING))
+def test_counting_cells_reach_the_counting_path(argv):
+    args = argv.split()
+    flag = {k[2:]: v for k, v in zip(args[1::2], args[2::2])}
+    spec = ExperimentSpec(design=int(flag["design"]), n=int(flag["n"]), N=int(flag["N"]),
+                          grid_m=int(flag["grid-m"]), format=flag["format"])
+    a, b = spec.rules()
+    curve = bid_curve(spec.format, Beta22(), mixture(a, b, spec.eps), QuantileGrid(spec.grid_m))
+    assert curve.ordered and spec.N >= 2 * len(curve.b)
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
