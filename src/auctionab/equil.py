@@ -13,6 +13,7 @@ discrete one the estimators assume.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,9 @@ EPS_SLOPE = 1e-9
 #: below this allocation probability the first-price bid is set by continuity
 EPS_ALLOC = 1e-12
 
+#: rows write_bid_csv formats per write: a few hundred kB of text at a time
+CSV_CHUNK = 2**14
+
 
 @dataclass(frozen=True)
 class BidCurve:
@@ -40,7 +44,8 @@ class BidCurve:
     grid: QuantileGrid
     b: np.ndarray
     #: the bids never decrease along the grid and none has its sign bit set
-    #: (no NaN, no -0.0 beside 0.0), so counting draws reproduces sorting them
+    #: (no NaN, no -0.0 beside 0.0), so sorting or counting the drawn grid
+    #: indices reproduces sorting the drawn bids
     ordered: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -62,20 +67,35 @@ class BidCurve:
         (PCG64); `seed` may be an int or a numpy SeedSequence, which is how
         the Monte Carlo harness derives independent per-trial streams.
 
-        On an ordered curve, a sample at least twice the grid size is built
-        by counting how often each grid bid was drawn, in O(N + m) with no
-        sort; the result is the same array, bit for bit.  Below that size,
-        repeating each of the m + 1 grid bids costs more than the sort.
+        Every path returns the array that sorting the gathered bids
+        `b[idx]` gives, bit for bit, where idx is the default int64 draw:
+
+        - index sort (ordered curve, N below four times the grid size):
+          the indices are drawn as int32, sorted, then gathered.  numpy
+          draws both widths with the same 32-bit Lemire step, so idx is
+          unchanged; and on an ordered curve the bid order is the index
+          order, with equal bids carrying equal bits.
+        - counting (ordered curve, N at least four times the grid size):
+          each grid bid is repeated as often as it was drawn, in O(N + m)
+          with no sort, for the same reason.  Below that size the sort is
+          cheaper than repeating each of the m + 1 grid bids.
+        - gather and sort (any other curve): the bids themselves are
+          sorted, which is the definition.
         """
         if N < 1:
             raise ValueError("sample size must be positive")
         b = self.b
-        idx = np.random.default_rng(seed).integers(0, len(b), size=N)
-        if self.ordered and N >= 2 * len(b):
-            return np.repeat(b, np.bincount(idx, minlength=len(b)))
-        bids = b[idx]
-        bids.sort()
-        return bids
+        rng = np.random.default_rng(seed)
+        if not self.ordered:
+            bids = b[rng.integers(0, len(b), size=N)]
+            bids.sort()
+            return bids
+        if N >= 4 * len(b):
+            # bincount wants intp indices
+            return np.repeat(b, np.bincount(rng.integers(0, len(b), size=N), minlength=len(b)))
+        idx = rng.integers(0, len(b), size=N, dtype=np.int32)
+        idx.sort()
+        return b.take(idx)
 
 
 @dataclass(frozen=True)
@@ -200,7 +220,13 @@ def write_bid_csv(sample: BidSample, csv_path, sidecar_path=None) -> None:
     """One-column CSV with header 'bid' plus a JSON sidecar recording the
     payment format, agent count, and generating rule."""
     csv_path = Path(csv_path)
-    np.savetxt(csv_path, sample.bids, header="bid", comments="", fmt="%.17g")
+    bids = sample.bids
+    # np.savetxt's bytes, formatted a chunk at a time instead of a row at a time
+    with open(csv_path, "w") as f:
+        f.write("bid\n")
+        for i in range(0, len(bids), CSV_CHUNK):
+            part = bids[i:i + CSV_CHUNK].tolist()
+            f.write("%.17g\n" * len(part) % tuple(part))
     sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
     sidecar.write_text(
         json.dumps({"format": sample.format, "n": sample.n, "rule": sample.rule.describe()}, indent=2)
@@ -208,5 +234,17 @@ def write_bid_csv(sample: BidSample, csv_path, sidecar_path=None) -> None:
 
 
 def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
-    bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
+    """The sample in a file written by write_bid_csv: a 'bid' header line,
+    then one bid a line."""
+    with open(csv_path) as f:
+        header = f.readline()
+    if header.strip() != "bid":
+        raise ValueError(f"bid file {csv_path} must start with the header line 'bid'")
+    with warnings.catch_warnings():
+        # numpy warns before returning no rows; the error below says it instead
+        warnings.simplefilter("ignore", UserWarning)
+        # given the path, loadtxt reads a quarter faster than from an open text file
+        bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
+    if bids.size == 0:
+        raise ValueError(f"bid file {csv_path} holds no bids")
     return BidSample(fmt, rule.n, rule, bids)

@@ -99,7 +99,8 @@ class MadResult:
 
 def _trial_estimates(curve: BidCurve, ws: list[np.ndarray], N: int, seed: int,
                      trials: range) -> np.ndarray:
-    # bare draws: a BidSample re-checks the sorted bids, a fifth of a trial at N=1e4
+    # bare draws: a BidSample would re-check the sorted bids, about 30 us on
+    # top of a 140 us trial at N = m = 1e4 (2-CPU Xeon, numpy 2.4)
     out = np.empty((len(trials), len(ws)))
     for j, t in enumerate(trials):
         bids = curve.draw(N, np.random.SeedSequence((seed, t)))
@@ -112,6 +113,20 @@ def _worker(args):
     return _trial_estimates(*args)
 
 
+def _worker_count() -> int:
+    """AUCTIONAB_WORKERS (default 1), at most the CPUs this process may use."""
+    text = os.environ.get("AUCTIONAB_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"AUCTIONAB_WORKERS must be an integer, got {text!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
 def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
                     trials: int) -> np.ndarray:
     """P_hat of each target in ys over `trials` replicates, one row per
@@ -119,7 +134,7 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     built once.  Trial t is seeded from (seed, t), so the result is
     independent of worker count (AUCTIONAB_WORKERS)."""
     ws = list(map(SourceGrid(curve.format, x, N).weights, ys))
-    workers = int(os.environ.get("AUCTIONAB_WORKERS", "1"))
+    workers = _worker_count()
     if workers <= 1 or trials < 4 * workers:
         return _trial_estimates(curve, ws, N, seed, range(trials))
     chunks = [range(i, trials, workers) for i in range(workers)]

@@ -96,6 +96,31 @@ class TestEstimate:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    def test_headerless_file_exits_one(self, capsys, tmp_path):
+        # without the header check the first bid was skipped and N came out as 1
+        path = tmp_path / "nohdr.csv"
+        path.write_text("0.1\n0.2\n")
+        code = cli_main([
+            "estimate", "--bids", str(path), "--source", "one-unit",
+            "--target", "k-unit:2", "--n", "4", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: bid file {path} must start with the header line 'bid'\n"
+
+    def test_header_only_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("bid\n")
+        code = cli_main([
+            "estimate", "--bids", str(path), "--source", "one-unit",
+            "--target", "k-unit:2", "--n", "4", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: bid file {path} holds no bids\n"
+
     def test_bad_rule_exits_one(self, capsys, bids_csv):
         code = cli_main([
             "estimate", "--bids", str(bids_csv), "--source", "k-unit:99",

@@ -20,6 +20,7 @@ from auctionab.alloc import (
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, true_revenue
 from auctionab.equil import (
     ALL_PAY,
+    CSV_CHUNK,
     FIRST_PRICE,
     BidCurve,
     BidSample,
@@ -167,13 +168,26 @@ def _sorted_gather(curve, N, seed):
 
 
 class TestDraw:
-    """`draw` counts the grid bids once the sample is twice the grid size
-    and the curve is ordered, and gathers and sorts otherwise; both give the
-    array that sorting the gathered draws gives, bit for bit."""
+    """On an ordered curve `draw` sorts int32 grid indices below four times
+    the grid size and counts the grid bids from there; any other curve
+    gathers and sorts.  All give the array that sorting the gathered int64
+    draws gives, bit for bit."""
 
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("M", [2, 101, 10_001, 65_537, 2**20])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+    def test_int32_indices_equal_the_int64_stream(self, M, seed):
+        # the index path relies on this; a numpy release that changed it would
+        # change every trial's sample
+        for N in (1, 999, 100_003):
+            wide = np.random.default_rng(np.random.SeedSequence((seed, 3))).integers(0, M, size=N)
+            narrow = np.random.default_rng(np.random.SeedSequence((seed, 3))).integers(
+                0, M, size=N, dtype=np.int32)
+            assert wide.astype(np.int32).tobytes() == narrow.tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(fmt=st.sampled_from([ALL_PAY, FIRST_PRICE]), m=st.integers(1, 300),
-           k=st.integers(2, 8), offset=st.integers(-2, 2), scale=st.sampled_from([0.5, 1, 2, 3]),
+           k=st.integers(2, 8), offset=st.integers(-2, 2),
+           scale=st.sampled_from([0.5, 1, 2, 3, 3.9, 4, 4.1, 5, 6]),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_sorted_gather(self, fmt, m, k, offset, scale, seed):
         c = bid_curve(fmt, Beta22(), MultiUnit(k - 1, k), QuantileGrid(m))
@@ -192,6 +206,14 @@ class TestDraw:
         c = BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), np.array(b))
         assert c.ordered is ordered
         assert c.draw(N, 8).tobytes() == _sorted_gather(c, N, 8).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 50_000, 4 * 70_001 - 1, 4 * 70_001])
+    def test_grid_wider_than_16_bits(self, N):
+        # indices above 2**16 must survive the index path
+        c = allpay_bid_curve(Beta22(), uniform_stair(8), QuantileGrid(70_000))
+        assert c.ordered
+        out = c.draw(N, 21)
+        assert out.tobytes() == _sorted_gather(c, N, 21).tobytes()
 
     def test_equilibrium_curves_are_ordered(self):
         for rule in (MultiUnit(1, 8), MultiUnit(7, 8), uniform_stair(8)):
@@ -240,7 +262,41 @@ class TestBidSample:
             BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.1, bad, 0.3]))
 
 
+SPECIAL_BIDS = [0.0, -0.0, 5e-324, 1e300, 1 / 3]
+
+
 class TestCsvIo:
+    @pytest.mark.parametrize("N", [1, len(SPECIAL_BIDS), CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                   3 * CSV_CHUNK + 5])
+    def test_bytes_equal_savetxt_and_read_back(self, tmp_path, N):
+        rng = np.random.default_rng(N)
+        bids = np.concatenate((SPECIAL_BIDS, rng.random(N) * 10.0 ** rng.integers(-5, 5, N)))[:N]
+        s = BidSample(ALL_PAY, 4, uniform_stair(4), bids)
+        path, ref = tmp_path / "bids.csv", tmp_path / "ref.csv"
+        write_bid_csv(s, path)
+        np.savetxt(ref, s.bids, header="bid", comments="", fmt="%.17g")
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
+        assert back.bids.tobytes() == s.bids.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1\n0.2\n", "must start with the header line 'bid'"),
+        ("", "must start with the header line 'bid'"),
+        ("bid\n", "holds no bids"),
+        ("bid\n\n", "holds no bids"),
+    ])
+    def test_bad_files_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bids.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_bid_csv(path, ALL_PAY, uniform_stair(4))
+        assert str(path) in str(exc.value)
+
+    def test_header_may_carry_whitespace(self, tmp_path):
+        path = tmp_path / "bids.csv"
+        path.write_bytes(b" bid \r\n0.25\r\n0.5\r\n")
+        np.testing.assert_array_equal(read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids, [0.25, 0.5])
+
     def test_round_trip_with_sidecar(self, tmp_path):
         c = allpay_bid_curve(Beta22(), uniform_stair(4), QuantileGrid(100))
         s = sample_bids(c, 50, 5)

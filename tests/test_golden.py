@@ -89,15 +89,32 @@ COUNTING = {
 GOLDEN.update(COUNTING)
 
 
-@pytest.mark.parametrize("argv", sorted(COUNTING))
-def test_counting_cells_reach_the_counting_path(argv):
+def _simulate_cell(argv):
+    """The spec of a `simulate` command line and its bid curve."""
     args = argv.split()
     flag = {k[2:]: v for k, v in zip(args[1::2], args[2::2])}
     spec = ExperimentSpec(design=int(flag["design"]), n=int(flag["n"]), N=int(flag["N"]),
-                          grid_m=int(flag["grid-m"]), format=flag["format"])
+                          grid_m=int(flag["grid-m"]), format=flag.get("format", "allpay"))
     a, b = spec.rules()
     curve = bid_curve(spec.format, Beta22(), mixture(a, b, spec.eps), QuantileGrid(spec.grid_m))
-    assert curve.ordered and spec.N >= 2 * len(curve.b)
+    return spec, curve
+
+
+@pytest.mark.parametrize("argv", sorted(COUNTING))
+def test_counting_cells_reach_the_counting_path(argv):
+    spec, curve = _simulate_cell(argv)
+    assert curve.ordered and spec.N >= 4 * len(curve.b)
+
+
+# N = 200 draws from a 2001-point all-pay grid: the index-sort path of BidCurve.draw
+INDEX_SORT = sorted(k for k in GOLDEN if k.startswith("simulate") and "--grid-m 2000" in k)
+
+
+@pytest.mark.parametrize("argv", INDEX_SORT)
+def test_grid_2000_cells_reach_the_index_sort_path(argv):
+    spec, curve = _simulate_cell(argv)
+    assert spec.format == "allpay"
+    assert curve.ordered and spec.N < 4 * len(curve.b)
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from auctionab.harness import (
     design_rules,
     epsilon_sweep,
     mad_csv_row,
+    _worker_count,
     run_design,
     trial_estimates,
 )
@@ -141,3 +144,29 @@ class TestWorkerPool:
         monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
         parallel = run_design(spec)
         assert serial == parallel
+
+    @pytest.mark.parametrize("value, cpus, expected", [
+        (None, 4, 1), ("1", 4, 1), ("3", 4, 3), ("4", 4, 4), ("5000", 4, 4), ("2", 1, 1),
+    ])
+    def test_worker_count_clamped_to_usable_cpus(self, monkeypatch, value, cpus, expected):
+        if value is None:
+            monkeypatch.delenv("AUCTIONAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("AUCTIONAB_WORKERS", value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _worker_count() == expected
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("AUCTIONAB_WORKERS", "64")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_non_integer_worker_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("AUCTIONAB_WORKERS", value)
+        with pytest.raises(ValueError) as exc:
+            _worker_count()
+        assert str(exc.value) == f"AUCTIONAB_WORKERS must be an integer, got {value!r}"
