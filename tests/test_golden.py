@@ -4,7 +4,8 @@ rebuilt from an antiderivative; `estimate` rows in both formats, recorded
 before the estimators shared one source-slope evaluation; and `bounds`
 tables, recorded before the bound inputs took over the sup 1/x' grid; and
 `simulate` cells in both formats that draw far more bids than the grid has
-points, recorded before such draws were built by counting.  These paths
+points, recorded before such draws were built by counting; and more `bounds`
+tables, recorded before the bound constants became fixed.  These paths
 must keep printing the same bytes: same draws per trial, same weights, same
 CSV formatting."""
 import numpy as np
@@ -73,6 +74,27 @@ GOLDEN.update({
     "bounds --design 1 --n 1024 --N 10000 --seed 0": bounds_rows(
         "1,1024,10000,0.001", "2.763102112 334.9852932 0.316227766 11.6593555 5.535690834 "
                               "422259.8166 335.7179179 2927450.787 2.28112038"),
+})
+
+# multi-run mixture sources at larger n, small N and other eps, recorded
+# before the bound formulas lost their constant parameters: these pin the
+# order of each formula's operations
+GOLDEN.update({
+    "bounds --design 2 --n 256 --N 1000 --seed 0": bounds_rows(
+        "2,256,1000,0.001", "1681.288117 63346.3255 255 3783.463329 4016.722357 85134.06169 "
+                            "47.65946212 472932.9631 9.210340372"),
+    "bounds --design 3 --n 32 --N 100000 --seed 0": bounds_rows(
+        "3,32,100000,0.001", "27.08685785 285.5634321 3.1 10.70925742 40.67678568 157.4875204 "
+                             "208351.2922 559.9485504 9.210340372"),
+    "bounds --design 1 --n 32 --N 10 --seed 0": bounds_rows(
+        "1,32,10,0.001", "87.3769608 4017.173362 10 34.54599167 131.2154377 15748.75204 "
+                         "4017.173362 59162.85504 4.56224076"),
+    "bounds --design 2 --n 64 --N 7 --eps 0.3 --seed 0": bounds_rows(
+        "2,64,7,0.3", "952.470472 15541.24386 43.47413024 2083.368046 5107.961879 63090.65016 "
+                      "737.9282151 263739.8872 1.605297072"),
+    "bounds --design 3 --n 128 --N 50 --eps 0.05 --seed 0": bounds_rows(
+        "3,128,50,0.05", "2152.195447 53683.2796 80.32185257 3512.621114 5637.993405 94851.04189 "
+                         "3.740413387e+36 461377.6632 3.994309698"),
 })
 
 # N = 1000 draws from a 101-point grid: the counting path of BidCurve.draw
