@@ -112,6 +112,17 @@ def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
     return out.reshape(q.shape)
 
 
+def _check_position_weights(w: np.ndarray) -> None:
+    """A position-weight vector has at least 2 entries, each in [0, 1]
+    (so no NaN), none above its predecessor by more than rounding."""
+    if w.ndim != 1 or len(w) < 2:
+        raise ValueError("need a vector of at least 2 position weights")
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise ValueError("position weights must lie in [0, 1]")
+    if np.any(np.diff(w) > 1e-12):
+        raise ValueError("position weights must be nonincreasing")
+
+
 @dataclass(frozen=True)
 class PositionWeights:
     """Decreasing service probabilities w_1 >= ... >= w_n for n positions."""
@@ -121,12 +132,7 @@ class PositionWeights:
 
     def __init__(self, w):
         w = np.asarray(w, dtype=float)
-        if w.ndim != 1 or len(w) < 2:
-            raise ValueError("need a vector of at least 2 position weights")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("position weights must lie in [0, 1]")
-        if np.any(np.diff(w) > 1e-12):
-            raise ValueError("position weights must be nonincreasing")
+        _check_position_weights(w)
         object.__setattr__(self, "n", len(w))
         object.__setattr__(self, "w", w)
         self.w.setflags(write=False)
@@ -183,12 +189,12 @@ class AllocationRule:
     antiderivative.  Immutable; evaluators are pure and thread-safe.
 
     Every rule is a position rule, i.e. its vector of position weights; two
-    rules are equal when their weight vectors are.  Build rules with
-    MultiUnit, Position or Mixture.  Construction finds once the runs
-    [k0, k1] (k1 <= n-1) of equal nonzero marginal weight and the mass
-    w_k0 - w_{k1+1} of each.  The evaluators here sum closed forms over
-    those runs; the n-unit term wbar_n = w_n only adds w_n to x and w_n q
-    to its integral.
+    rules are equal when their weight vectors are, and the weights pass the
+    checks PositionWeights makes.  Build rules with MultiUnit, Position or
+    Mixture.  Construction finds once the runs [k0, k1] (k1 <= n-1) of equal
+    nonzero marginal weight and the mass w_k0 - w_{k1+1} of each.  The
+    evaluators here sum closed forms over those runs; the n-unit term
+    wbar_n = w_n only adds w_n to x and w_n q to its integral.
     """
 
     _w: np.ndarray
@@ -199,6 +205,7 @@ class AllocationRule:
 
     def __post_init__(self):
         w = np.array(self._w, dtype=float)
+        _check_position_weights(w)
         w.setflags(write=False)
         wbar = w[:-1] - w[1:]  # wbar[i] is the marginal weight of k = i+1 units
         runs: list[list[int]] = []
@@ -291,19 +298,6 @@ class AllocationRule:
             return f"{label}-unit(n={self.n})"
         return "+".join(f"{c:g}*{r.describe()}" for c, r in label)
 
-    def _slope_candidates(self) -> list[float]:
-        """Quantiles where xprime may attain its supremum, in addition to a
-        uniform grid: the endpoints and, for each multi-unit term, the point
-        (n-k)/(n-1) and the maximizer (n-1-k)/(n-2) of q^(n-1-k) (1-q)^(k-1)."""
-        n = self.n
-        cands = {0.0, 1.0}
-        for k0, k1, _ in self._runs:
-            for k in range(k0, k1 + 1):
-                cands.add((n - k) / (n - 1))
-                if n > 2:
-                    cands.add((n - 1 - k) / (n - 2))
-        return sorted(cands)
-
 
 def MultiUnit(k: int, n: int) -> AllocationRule:
     """Highest-k-bids-win auction with n agents."""
@@ -375,14 +369,19 @@ def universal_b(n: int) -> PositionWeights:
     return PositionWeights(w)
 
 
-def max_slope(rule: AllocationRule, grid_size: int = 10_001) -> float:
-    """sup_q xprime(q), over a uniform grid plus the analytic maximizers of
-    the rule's multi-unit components (the grid alone can miss sharp peaks)."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    qs = np.linspace(0.0, 1.0, grid_size)
-    cands = np.asarray(sorted(set(rule._slope_candidates())))
-    return float(max(rule.xprime(qs).max(), rule.xprime(cands).max()))
+#: points of the uniform quantile grid that slope suprema are taken over
+SLOPE_GRID = 10_001
+
+
+def max_slope(rule: AllocationRule) -> float:
+    """sup_q xprime(q), over SLOPE_GRID uniform quantiles plus, for each
+    multi-unit term k of the rule's runs, the point (n-k)/(n-1) and the
+    maximizer (n-1-k)/(n-2) of q^(n-1-k) (1-q)^(k-1) (the grid alone can
+    miss sharp peaks)."""
+    n = rule.n
+    k = np.concatenate([np.arange(k0, k1 + 1) for k0, k1, _ in rule._runs] or [[]])
+    peaks = [(n - k) / (n - 1)] + ([(n - 1 - k) / (n - 2)] if n > 2 else [])
+    return float(rule.xprime(np.concatenate([np.linspace(0.0, 1.0, SLOPE_GRID), *peaks])).max())
 
 
 def parse_rule(text: str, n: int) -> AllocationRule:

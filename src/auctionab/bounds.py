@@ -1,9 +1,9 @@
 """Evaluators for the theoretical error-bound formulas, so every estimate
 can be reported next to its guarantee.
 
-All asymptotic O(1) constants default to 1 and are configurable; the
-headline multiplicative constant is 40.  Logarithm arguments are floored at
-e so a bound never goes negative when source and target nearly coincide.
+Every asymptotic O(1) constant is 1 and the headline multiplicative
+constant is 40, as in the paper's bounds.  Logarithm arguments are floored
+at e so a bound never goes negative when source and target nearly coincide.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import AllocationRule, max_slope
+from .alloc import SLOPE_GRID, AllocationRule, max_slope
 
 HEADLINE_CONSTANT = 40.0
 
@@ -21,13 +21,17 @@ def _floored_log(v: float) -> float:
     return math.log(max(v, math.e))
 
 
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Grid suprema and sample parameters the bound formulas consume."""
 
     N: int
     n: int
-    eps: float
     sup_yprime: float
     sup_xprime: float
     sup_inv_xprime: float  # sup over the grid of 1/x'(q)
@@ -35,12 +39,12 @@ class BoundInputs:
     ratio_down: float  # sup over q of y'(q)/x'(q)
 
     @classmethod
-    def from_rules(
-        cls, x: AllocationRule, y: AllocationRule, N: int, eps: float = 0.0, grid_size: int = 10_001
-    ) -> "BoundInputs":
-        """Suprema computed on the same clamped grid the estimator uses, so
-        bound inputs and estimator behavior stay consistent."""
-        q = np.clip(np.linspace(0.0, 1.0, grid_size), 0.5 / N, 1.0 - 0.5 / N)
+    def from_rules(cls, x: AllocationRule, y: AllocationRule, N: int) -> "BoundInputs":
+        """Suprema over SLOPE_GRID uniform quantiles clamped into
+        [1/(2N), 1 - 1/(2N)], the interval where the estimator evaluates
+        slopes (at its N+1 clamped cell edges); the slope suprema come from
+        max_slope over all of [0, 1]."""
+        q = np.clip(np.linspace(0.0, 1.0, SLOPE_GRID), 0.5 / N, 1.0 - 0.5 / N)
         yp = y.xprime(q)
         xp = x.xprime(q)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -50,120 +54,97 @@ class BoundInputs:
         return cls(
             N=N,
             n=x.n,
-            eps=eps,
-            sup_yprime=max_slope(y, grid_size),
-            sup_xprime=max_slope(x, grid_size),
+            sup_yprime=max_slope(y),
+            sup_xprime=max_slope(x),
             sup_inv_xprime=float(np.max(1.0 / np.maximum(xp, 1e-300))),
             ratio_up=up,
             ratio_down=float(np.max(down)),
         )
 
 
-def bound_allpay_k(inputs: BoundInputs, constant: float = HEADLINE_CONSTANT) -> float:
+def bound_allpay_k(inputs: BoundInputs) -> float:
     """Expected absolute error of the multi-unit revenue estimate:
     (40/sqrt(N)) sup y' log max{ratio_up, ratio_down}."""
     log_term = _floored_log(max(inputs.ratio_up, inputs.ratio_down))
-    return constant / math.sqrt(inputs.N) * inputs.sup_yprime * log_term
+    return HEADLINE_CONSTANT / math.sqrt(inputs.N) * inputs.sup_yprime * log_term
 
 
-def bound_bias(inputs: BoundInputs, constant: float = 1.0) -> float:
+def bound_bias(inputs: BoundInputs) -> float:
     """The O(1)/N systematic (non-sampling) part of the estimation error:
-    (constant/N) sup x' sup(y'/x')."""
-    return constant / inputs.N * inputs.sup_xprime * inputs.ratio_down
+    (1/N) sup x' sup(y'/x')."""
+    return 1.0 / inputs.N * inputs.sup_xprime * inputs.ratio_down
 
 
-def bound_general_y(
-    inputs: BoundInputs, constant: float = HEADLINE_CONSTANT, bias_constant: float = 1.0
-) -> float:
+def bound_general_y(inputs: BoundInputs) -> float:
     """Expected absolute error for an arbitrary position-auction target:
     the multi-unit bound times sqrt(n log n), plus the O(1)/N bias term."""
     log_term = _floored_log(max(inputs.ratio_up, inputs.ratio_down))
     lead = (
-        constant
+        HEADLINE_CONSTANT
         / math.sqrt(inputs.N)
         * math.sqrt(inputs.n * math.log(inputs.n))
         * inputs.sup_yprime
         * log_term
     )
-    return lead + bound_bias(inputs, bias_constant)
+    return lead + bound_bias(inputs)
 
 
-def bound_expected_value(
-    N: int,
-    n: int,
-    sup_xprime: float,
-    sup_inv_xprime: float,
-    constant: float = HEADLINE_CONSTANT,
-    bias_constant: float = 1.0,
-) -> float:
+def bound_expected_value(N: int, n: int, sup_xprime: float, sup_inv_xprime: float) -> float:
     """Expected absolute error of the mean-value estimate from all-pay bids:
     (40/sqrt(N)) sqrt(n log n) log max{sup x', sup 1/x'}
-    + (O(1)/N) sup x' sup 1/x'."""
+    + (1/N) sup x' sup 1/x'."""
     lead = (
-        constant
+        HEADLINE_CONSTANT
         / math.sqrt(N)
         * math.sqrt(n * math.log(n))
         * _floored_log(max(sup_xprime, sup_inv_xprime))
     )
-    return lead + bias_constant / N * sup_xprime * sup_inv_xprime
+    return lead + 1.0 / N * sup_xprime * sup_inv_xprime
 
 
-def bound_ideal_ab(eps: float, N: int, sup_yprime: float, constant: float = 1.0) -> float:
+def bound_ideal_ab(eps: float, N: int, sup_yprime: float) -> float:
     """Error of the ideal split test that sees only eps*N treatment bids:
-    (1/sqrt(eps)) sup y'/sqrt(N), constant taken as 1."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    return constant / math.sqrt(eps) * sup_yprime / math.sqrt(N)
+    (1/sqrt(eps)) sup y'/sqrt(N)."""
+    _check_eps(eps)
+    return 1.0 / math.sqrt(eps) * sup_yprime / math.sqrt(N)
 
 
-def bound_mixture(
-    eps: float, N: int, n: int, sup_yprime: float, multi_unit: bool = False, constant: float | None = None
-) -> float:
+def bound_mixture(eps: float, N: int, n: int, sup_yprime: float, multi_unit: bool = False) -> float:
     """Error of estimating the treatment rule's revenue from bids of the
-    (1-eps)/eps mixture.  General targets pay an extra sqrt(n log n) factor
-    (O(1) constant, default 1); multi-unit targets get the 40 log(n/eps)
-    form."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    (1-eps)/eps mixture.  General targets pay an extra sqrt(n log n) factor;
+    multi-unit targets get the 40 log(n/eps) form."""
+    _check_eps(eps)
     if multi_unit:
-        c = HEADLINE_CONSTANT if constant is None else constant
-        return c * math.log(n / eps) * sup_yprime / math.sqrt(N)
-    c = 1.0 if constant is None else constant
-    return c * math.sqrt(n * math.log(n)) * math.log(n / eps) * sup_yprime / math.sqrt(N)
+        return HEADLINE_CONSTANT * math.log(n / eps) * sup_yprime / math.sqrt(N)
+    return math.sqrt(n * math.log(n)) * math.log(n / eps) * sup_yprime / math.sqrt(N)
 
 
-def bound_universal(eps: float, N: int, n: int, constant: float = HEADLINE_CONSTANT) -> float:
+def bound_universal(eps: float, N: int, n: int) -> float:
     """Simultaneous error over all multi-unit revenues when the universal
     treatment mechanism is mixed in: 40 n (n + log(1/eps))/sqrt(N)."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    return constant * n * (n + math.log(1.0 / eps)) / math.sqrt(N)
+    _check_eps(eps)
+    return HEADLINE_CONSTANT * n * (n + math.log(1.0 / eps)) / math.sqrt(N)
 
 
-def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float, constant: float = 1.0) -> float:
+def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float) -> float:
     """Upper bound on the misclassification probability of the revenue
-    comparator: exp(-O(N a^2 / (alpha^2 n^3 log(n/eps))))."""
+    comparator: exp(-N a^2 / (alpha^2 n^3 log(n/eps)))."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if a < 0:
         raise ValueError("revenue gap must be nonnegative")
-    expo = constant * N * a**2 / (alpha**2 * n**3 * math.log(n / eps))
-    return math.exp(-expo)
+    return math.exp(-(N * a**2 / (alpha**2 * n**3 * math.log(n / eps))))
 
 
-def bound_welfare(
-    eps: float, N: int, n: int, constant: float = HEADLINE_CONSTANT, bias_constant: float = 1.0
-) -> float:
+def bound_welfare(eps: float, N: int, n: int) -> float:
     """Per-agent social-welfare error with the universal treatment mix:
     40 n log n (n + log(1/eps))/sqrt(N) + 40 sqrt(n log n) log(n/eps)/sqrt(N)
-    + O(n/(eps N))."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    + n/(eps N)."""
+    _check_eps(eps)
     ln_n = math.log(n)
-    lead = constant * n * ln_n * (n + math.log(1.0 / eps)) / math.sqrt(N)
-    mid = constant * math.sqrt(n * ln_n) * math.log(n / eps) / math.sqrt(N)
-    bias = bias_constant * n / (eps * N)
-    return lead + mid + bias
+    lead = HEADLINE_CONSTANT * n * ln_n * (n + math.log(1.0 / eps)) / math.sqrt(N)
+    mid = HEADLINE_CONSTANT * math.sqrt(n * ln_n) * math.log(n / eps) / math.sqrt(N)
+    return lead + mid + n / (eps * N)
 
 
 def normalized_table_bound(design: int, n: int, eps: float) -> float:

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .abtest import revenue_verdict
+from .abtest import ABDesign, build_test_mechanism, revenue_verdict
 from .alloc import DegenerateRuleError, max_slope, mixture, parse_rule
 from .bounds import (
     BoundInputs,
@@ -128,12 +128,12 @@ def cmd_compare(args) -> list[str]:
     incumbent = parse_rule(args.incumbent, n)
     b1 = parse_rule(args.b1, n)
     b2 = parse_rule(args.b2, n)
-    dist = make_distribution(args.dist)
     grid = QuantileGrid(args.grid_m)
-    # both candidates mixed into the incumbent with weight eps/2 each
-    test = mixture(incumbent, mixture(b1, b2, 0.5), args.eps)
-    curve = bid_curve(args.format, dist, test, grid)
-    p1, p2 = true_revenue(dist, b1, grid), true_revenue(dist, b2, grid)
+    design = ABDesign(incumbent, ((args.eps / 2, b1), (args.eps / 2, b2)),
+                      make_distribution(args.dist), args.format)
+    test = build_test_mechanism(design)
+    curve = bid_curve(design.format, design.dist, test, grid)
+    p1, p2 = true_revenue(design.dist, b1, grid), true_revenue(design.dist, b2, grid)
     true_verdict = 1 if p1 > args.alpha * p2 else 0
     gap = abs(p1 - args.alpha * p2)
     sup_y = max(max_slope(b1), max_slope(b2))
@@ -157,7 +157,7 @@ def cmd_bounds(args) -> list[str]:
     _check_sample_size(args.N)
     a, b = design_rules(args.design, args.n)
     c = mixture(a, b, args.eps)
-    inputs = BoundInputs.from_rules(c, b, args.N, args.eps)
+    inputs = BoundInputs.from_rules(c, b, args.N)
     rows = [
         ("multi_unit_target", bound_allpay_k(inputs)),
         ("general_target", bound_general_y(inputs)),

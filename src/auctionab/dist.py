@@ -99,8 +99,8 @@ class Beta22(ValueDistribution):
 
 
 class TabulatedQuantile(ValueDistribution):
-    """Quantile function given as monotone (q, v) pairs, linearly
-    interpolated; the derivative is numeric."""
+    """Quantile function given as monotone (q, v) pairs from q = 0 to q = 1,
+    linearly interpolated; the derivative is numeric."""
 
     name = "tabulated"
 
@@ -111,6 +111,8 @@ class TabulatedQuantile(ValueDistribution):
             raise ValueError("need matching 1-d arrays of at least 2 points")
         if np.any(np.diff(qs) <= 0):
             raise ValueError("quantile grid must be strictly increasing")
+        if qs[0] != 0.0 or qs[-1] != 1.0:
+            raise ValueError("quantile grid must start at q = 0 and end at q = 1")
         if np.any(np.diff(vs) < 0):
             raise ValueError("values must be nondecreasing in quantile")
         self._qs = qs
@@ -125,7 +127,14 @@ class TabulatedQuantile(ValueDistribution):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedQuantile":
+        """The table in a CSV file: a 'q,v' header line, then one q,v pair a line."""
+        with open(path) as f:
+            header = f.readline()
+        if header.strip() != "q,v":
+            raise ValueError(f"quantile file {path} must start with the header line 'q,v'")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"quantile file {path} must hold q,v pairs under its header")
         return cls(data[:, 0], data[:, 1])
 
 

@@ -103,7 +103,6 @@ class BidSample:
     """Sorted i.i.d. sample of bids from the auction that generated them."""
 
     format: str
-    n: int
     rule: AllocationRule
     bids: np.ndarray
 
@@ -119,6 +118,10 @@ class BidSample:
             raise ValueError("bids must be nonnegative")
         object.__setattr__(self, "bids", bids)
         self.bids.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.rule.n
 
     @property
     def size(self) -> int:
@@ -168,26 +171,24 @@ def _bprime(curve: BidCurve) -> np.ndarray:
     return np.gradient(curve.b, curve.grid.q, edge_order=2)
 
 
-def invert_allpay(curve: BidCurve, rule: AllocationRule | None = None) -> np.ndarray:
+def invert_allpay(curve: BidCurve) -> np.ndarray:
     """Recover v(q) = b'(q)/x'(q) on the curve's grid.  Quantiles where the
     rule's slope is below EPS_SLOPE are reported as NaN gaps, never
     interpolated silently."""
     if curve.format != ALL_PAY:
         raise ValueError("curve is not from an all-pay auction")
-    rule = rule or curve.rule
-    xp = rule.xprime(curve.grid.q)
+    xp = curve.rule.xprime(curve.grid.q)
     ok = xp > EPS_SLOPE
     out = np.full_like(curve.b, np.nan)
     out[ok] = _bprime(curve)[ok] / xp[ok]
     return out
 
 
-def invert_firstprice(curve: BidCurve, rule: AllocationRule | None = None) -> np.ndarray:
+def invert_firstprice(curve: BidCurve) -> np.ndarray:
     """Recover v(q) = b(q) + x(q) b'(q)/x'(q), with NaN gaps as above."""
     if curve.format != FIRST_PRICE:
         raise ValueError("curve is not from a first-price auction")
-    rule = rule or curve.rule
-    q = curve.grid.q
+    rule, q = curve.rule, curve.grid.q
     xp = rule.xprime(q)
     ok = xp > EPS_SLOPE
     out = np.full_like(curve.b, np.nan)
@@ -195,14 +196,14 @@ def invert_firstprice(curve: BidCurve, rule: AllocationRule | None = None) -> np
     return out
 
 
-def invert(curve: BidCurve, rule: AllocationRule | None = None) -> np.ndarray:
-    return (invert_allpay if curve.format == ALL_PAY else invert_firstprice)(curve, rule)
+def invert(curve: BidCurve) -> np.ndarray:
+    return (invert_allpay if curve.format == ALL_PAY else invert_firstprice)(curve)
 
 
 def sample_bids(curve: BidCurve, N: int, seed) -> BidSample:
     """The sample of `curve.draw(N, seed)`: N bids drawn with replacement
     from the grid bids, sorted ascending, deterministic given the seed."""
-    return BidSample(curve.format, curve.rule.n, curve.rule, curve.draw(N, seed))
+    return BidSample(curve.format, curve.rule, curve.draw(N, seed))
 
 
 def empirical_bid_function(sample: BidSample, q):
@@ -216,9 +217,10 @@ def empirical_bid_function(sample: BidSample, q):
     return sample.bids[idx]
 
 
-def write_bid_csv(sample: BidSample, csv_path, sidecar_path=None) -> None:
-    """One-column CSV with header 'bid' plus a JSON sidecar recording the
-    payment format, agent count, and generating rule."""
+def write_bid_csv(sample: BidSample, csv_path) -> None:
+    """One-column CSV with header 'bid' plus a JSON sidecar beside it (the
+    same name with suffix .json) recording the payment format, agent count,
+    and generating rule."""
     csv_path = Path(csv_path)
     bids = sample.bids
     # np.savetxt's bytes, formatted a chunk at a time instead of a row at a time
@@ -227,8 +229,7 @@ def write_bid_csv(sample: BidSample, csv_path, sidecar_path=None) -> None:
         for i in range(0, len(bids), CSV_CHUNK):
             part = bids[i:i + CSV_CHUNK].tolist()
             f.write("%.17g\n" * len(part) % tuple(part))
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    sidecar.write_text(
+    csv_path.with_suffix(".json").write_text(
         json.dumps({"format": sample.format, "n": sample.n, "rule": sample.rule.describe()}, indent=2)
     )
 
@@ -247,4 +248,4 @@ def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
         bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
     if bids.size == 0:
         raise ValueError(f"bid file {csv_path} holds no bids")
-    return BidSample(fmt, rule.n, rule, bids)
+    return BidSample(fmt, rule, bids)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .alloc import AllocationRule, MultiUnit, mixture, uniform_stair
-from .dist import Beta22, QuantileGrid, ValueDistribution, make_distribution, true_revenue
+from .dist import QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
 from .estim import SourceGrid
 
@@ -48,7 +48,6 @@ class ExperimentSpec:
     dist: str = "beta22"
     format: str = ALL_PAY
     seed: int = 0
-    custom_rules: tuple[AllocationRule, AllocationRule] | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -63,8 +62,6 @@ class ExperimentSpec:
             raise ValueError("eps must lie in (0, 1)")
 
     def rules(self) -> tuple[AllocationRule, AllocationRule]:
-        if self.custom_rules is not None:
-            return self.custom_rules
         return design_rules(self.design, self.n)
 
     def distribution(self) -> ValueDistribution:
@@ -78,16 +75,15 @@ class MadResult:
     raw_mad is at auction level (n times the per-agent deviation) so the
     published normalization sqrt(N)/n applies to it directly; truth and
     mean_estimate stay per-agent, matching the rest of the library.
-    normalized_mad uses sqrt(N)/n, calibrated against the published
-    0.008-0.011 band of the design-2 n=1024 column; both candidate factors
-    are always kept so the choice stays auditable.
+    normalized_mad is raw_mad times sqrt(N)/n, calibrated against the
+    published 0.008-0.011 band of the design-2 n=1024 column;
+    norm_sqrt_N_over_n_alt keeps the other reading, raw_mad times sqrt(N/n),
+    so the choice stays auditable.
     """
 
     raw_mad: float
     normalized_mad: float
-    normalization_factor_used: float
     mc_rel_error_estimate: float
-    norm_sqrtN_over_n: float = 0.0
     norm_sqrt_N_over_n_alt: float = 0.0
     truth: float = 0.0
     mean_estimate: float = 0.0
@@ -171,9 +167,7 @@ def run_design(spec: ExperimentSpec) -> MadResult:
     return MadResult(
         raw_mad=raw,
         normalized_mad=raw * f_cap,
-        normalization_factor_used=f_cap,
         mc_rel_error_estimate=se / raw if raw > 0 else 0.0,
-        norm_sqrtN_over_n=raw * f_cap,
         norm_sqrt_N_over_n_alt=raw * f_alt,
         truth=truth,
         mean_estimate=float(est.mean()),
@@ -184,7 +178,7 @@ def mad_csv_row(spec: ExperimentSpec, result: MadResult, bound: float | None = N
     bd = "" if bound is None else f"{bound:.10g}"
     return (
         f"{spec.design},{spec.n},{spec.N},{spec.eps:g},{spec.trials},{spec.seed},"
-        f"{result.raw_mad:.10g},{result.norm_sqrtN_over_n:.10g},"
+        f"{result.raw_mad:.10g},{result.normalized_mad:.10g},"
         f"{result.norm_sqrt_N_over_n_alt:.10g},{bd}"
     )
 

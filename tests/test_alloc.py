@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from auctionab.alloc import (
+    AllocationRule,
     MarginalWeights,
     Mixture,
     MultiUnit,
@@ -120,10 +121,33 @@ class TestPositionWeights:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             PositionWeights([1.5, 0.5])
+        with pytest.raises(ValueError):
+            PositionWeights([1.0, np.nan, 0.0])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             PositionWeights([1.0])
+
+
+class TestAllocationRuleWeights:
+    """AllocationRule makes the checks PositionWeights makes."""
+
+    @pytest.mark.parametrize("w, message", [
+        ([0.2, 0.9, 1.5], "lie in"),
+        ([1.0, np.nan, 0.0], "lie in"),
+        ([1.0, -0.1], "lie in"),
+        ([0.2, 0.9, 0.1], "nonincreasing"),
+        ([1.0], "at least 2"),
+        ([[1.0, 0.5]], "at least 2"),
+    ])
+    def test_bad_weights_rejected(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            AllocationRule(np.array(w))
+
+    def test_rounding_noise_accepted(self):
+        # a mixture's weights may rise by an ulp; PositionWeights allows 1e-12
+        rule = AllocationRule(np.array([1.0, 0.5 + 1e-13, 0.5, 0.0]))
+        assert rule.n == 4
 
 
 class TestMarginalWeights:
@@ -225,10 +249,10 @@ class TestMaxSlope:
             assert max_slope(MultiUnit(1, n)) == pytest.approx(n - 1, rel=1e-9)
 
     def test_analytic_candidate_beats_coarse_grid(self):
-        # sharp interior peak that a coarse grid would miss
+        # sharp interior peak at (n-1-k)/(n-2) that a coarse grid would miss
         rule = MultiUnit(2, 1024)
         coarse = float(np.max(rule.xprime(np.linspace(0, 1, 101))))
-        assert max_slope(rule, grid_size=101) >= coarse
+        assert max_slope(rule) == float(rule.xprime(1021 / 1022)) > coarse
 
     def test_bounded_by_n(self):
         for n in (2, 3, 8, 32):

@@ -23,7 +23,7 @@ def inputs_for(design, n, N, eps=0.001):
     from auctionab.harness import design_rules
 
     a, b = design_rules(design, n)
-    return BoundInputs.from_rules(mixture(a, b, eps), b, N, eps)
+    return BoundInputs.from_rules(mixture(a, b, eps), b, N)
 
 
 class TestBoundInputs:
@@ -79,14 +79,14 @@ class TestIdealAndMixture:
         assert v == pytest.approx(40 * math.log(8000) * 2.0 / 100)
 
     def test_general_mixture_has_extra_factor(self):
-        gen = bound_mixture(0.001, 10_000, 8, 2.0, multi_unit=False, constant=40)
+        gen = 40 * bound_mixture(0.001, 10_000, 8, 2.0, multi_unit=False)
         mu = bound_mixture(0.001, 10_000, 8, 2.0, multi_unit=True)
         assert gen == pytest.approx(mu * math.sqrt(8 * math.log(8)))
 
     def test_small_eps_mixture_beats_ideal(self):
         eps = 1e-6
         sup = 31.0
-        assert bound_mixture(eps, 10_000, 32, sup, multi_unit=True) < bound_ideal_ab(eps, 10_000, sup, constant=40)
+        assert bound_mixture(eps, 10_000, 32, sup, multi_unit=True) < 40 * bound_ideal_ab(eps, 10_000, sup)
 
 
 class TestUniversalBound:

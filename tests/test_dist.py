@@ -85,6 +85,23 @@ class TestTabulatedQuantile:
         d = TabulatedQuantile.from_csv(p)
         assert d.v(0.5) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("text, message", [
+        # without the header the first point would be skipped silently
+        ("0,0\n0.5,0.4\n1,1\n", "header line 'q,v'"),
+        ("", "header line 'q,v'"),
+        ("q,v\n0\n1\n", "q,v pairs"),
+    ])
+    def test_bad_csv_rejected(self, tmp_path, text, message):
+        p = tmp_path / "dist.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            TabulatedQuantile.from_csv(p)
+
+    @pytest.mark.parametrize("qs", [[0.5, 1.0], [0.0, 0.5], [0.1, 0.5, 0.9]])
+    def test_table_must_span_unit_interval(self, qs):
+        with pytest.raises(ValueError, match="q = 0 and end at q = 1"):
+            TabulatedQuantile(qs, np.linspace(0.4, 1.0, len(qs)))
+
 
 class TestMakeDistribution:
     def test_names(self):

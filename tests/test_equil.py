@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -232,34 +233,38 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 class TestEmpiricalBidFunction:
     def test_step_lookup(self):
-        s = BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.2, 0.5, 0.9]))
+        s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.2, 0.5, 0.9]))
         assert empirical_bid_function(s, 0.4) == pytest.approx(0.5)
         assert empirical_bid_function(s, 0.0) == pytest.approx(0.2)
         assert empirical_bid_function(s, 1.0) == pytest.approx(0.9)
 
     def test_out_of_range_rejected(self):
-        s = BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.2]))
+        s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.2]))
         with pytest.raises(ValueError):
             empirical_bid_function(s, 1.5)
 
 
 class TestBidSample:
     def test_unsorted_input_sorted(self):
-        s = BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.9, 0.1]))
+        s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.9, 0.1]))
         np.testing.assert_array_equal(s.bids, [0.1, 0.9])
 
     def test_negative_bid_rejected(self):
         with pytest.raises(ValueError):
-            BidSample(ALL_PAY, 2, uniform_stair(2), np.array([-0.1, 0.2]))
+            BidSample(ALL_PAY, uniform_stair(2), np.array([-0.1, 0.2]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            BidSample(ALL_PAY, 2, uniform_stair(2), np.array([]))
+            BidSample(ALL_PAY, uniform_stair(2), np.array([]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            BidSample(ALL_PAY, 2, uniform_stair(2), np.array([0.1, bad, 0.3]))
+            BidSample(ALL_PAY, uniform_stair(2), np.array([0.1, bad, 0.3]))
+
+    def test_agent_count_is_the_rules(self):
+        s = BidSample(ALL_PAY, MultiUnit(1, 4), np.array([0.1, 0.2]))
+        assert s.n == 4
 
 
 SPECIAL_BIDS = [0.0, -0.0, 5e-324, 1e300, 1 / 3]
@@ -271,7 +276,7 @@ class TestCsvIo:
     def test_bytes_equal_savetxt_and_read_back(self, tmp_path, N):
         rng = np.random.default_rng(N)
         bids = np.concatenate((SPECIAL_BIDS, rng.random(N) * 10.0 ** rng.integers(-5, 5, N)))[:N]
-        s = BidSample(ALL_PAY, 4, uniform_stair(4), bids)
+        s = BidSample(ALL_PAY, uniform_stair(4), bids)
         path, ref = tmp_path / "bids.csv", tmp_path / "ref.csv"
         write_bid_csv(s, path)
         np.savetxt(ref, s.bids, header="bid", comments="", fmt="%.17g")
@@ -303,7 +308,7 @@ class TestCsvIo:
         path = tmp_path / "bids.csv"
         write_bid_csv(s, path)
         assert path.read_text().splitlines()[0] == "bid"
-        sidecar = (tmp_path / "bids.json").read_text()
-        assert '"allpay"' in sidecar and '"n": 4' in sidecar
+        sidecar = json.loads((tmp_path / "bids.json").read_text())
+        assert sidecar == {"format": "allpay", "n": 4, "rule": uniform_stair(4).describe()}
         back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
         np.testing.assert_allclose(back.bids, s.bids)

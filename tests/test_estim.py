@@ -184,7 +184,7 @@ def multi_target_cases(draw):
     ys = [rule() for _ in range(draw(st.integers(2, 5)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bids = np.sort(rng.random(draw(st.integers(1, 400))))
-    return BidSample(draw(st.sampled_from([ALL_PAY, FIRST_PRICE])), n, x, bids), x, ys
+    return BidSample(draw(st.sampled_from([ALL_PAY, FIRST_PRICE])), x, bids), x, ys
 
 
 class TestMultiTarget:

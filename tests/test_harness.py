@@ -44,8 +44,7 @@ class TestExperimentSpec:
 
     def test_negative_mad_rejected(self):
         with pytest.raises(ValueError):
-            MadResult(raw_mad=-0.1, normalized_mad=0, normalization_factor_used=1,
-                      mc_rel_error_estimate=0)
+            MadResult(raw_mad=-0.1, normalized_mad=0, mc_rel_error_estimate=0)
 
 
 class TestRunDesign:
@@ -68,16 +67,16 @@ class TestRunDesign:
         assert run_design(base).raw_mad != run_design(other).raw_mad
 
     def test_self_design_matches_sample_mean_theory(self):
-        # A = B makes the mixture the source itself; the estimate is the
-        # sample mean, whose MAD is sd * sqrt(2/pi) / sqrt(N)
+        # a source estimating its own revenue gives the sample mean, whose
+        # MAD is sd * sqrt(2/pi) / sqrt(N)
         us = uniform_stair(8)
-        spec = ExperimentSpec(design=1, n=8, N=2000, trials=400, seed=5,
-                              custom_rules=(us, us))
-        r = run_design(spec)
-        curve = allpay_bid_curve(Beta22(), us, QuantileGrid(10_000))
+        grid = QuantileGrid(10_000)
+        curve = allpay_bid_curve(Beta22(), us, grid)
+        est = trial_estimates(curve, us, (us,), 2000, 5, 400)[:, 0]
+        raw_mad = 8 * np.mean(np.abs(est - true_revenue(Beta22(), us, grid)))
         sd = np.std(curve.b)
         theory = 8 * sd * np.sqrt(2 / np.pi) / np.sqrt(2000)
-        assert r.raw_mad == pytest.approx(theory, rel=0.15)
+        assert raw_mad == pytest.approx(theory, rel=0.15)
 
     def test_trials_doubling_within_mc_error(self):
         spec1 = ExperimentSpec(design=2, n=8, N=1000, trials=200, seed=7)
