@@ -5,7 +5,9 @@ before the estimators shared one source-slope evaluation; and `bounds`
 tables, recorded before the bound inputs took over the sup 1/x' grid; and
 `simulate` cells in both formats that draw far more bids than the grid has
 points, recorded before such draws were built by counting; and more `bounds`
-tables, recorded before the bound constants became fixed.  These paths
+tables, recorded before the bound constants became fixed; and first-price
+cells at n = 32 and 256 whose rules need binomial tails with both parameters
+above 2, recorded while those tails still came from scipy.  These paths
 must keep printing the same bytes: same draws per trial, same weights, same
 CSV formatting."""
 import numpy as np
@@ -139,6 +141,15 @@ def test_grid_2000_cells_reach_the_index_sort_path(argv):
     assert curve.ordered and spec.N < 4 * len(curve.b)
 
 
+# first-price cells at n = 256, recorded before the binomial tails left scipy
+GOLDEN.update({
+    "simulate --design 2 --n 256 --N 200 --trials 8 --grid-m 2000 --seed 11 --format firstprice":
+        MAD_HEADER + ["2,256,200,0.001,8,11,0.160047211,0.008841442831,0.1414630853,9.210340372"],
+    "simulate --design 3 --n 256 --N 200 --trials 8 --grid-m 2000 --seed 11 --format firstprice":
+        MAD_HEADER + ["3,256,200,0.001,8,11,0.6247160157,0.03451101024,0.5521761638,9.210340372"],
+})
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_output_bytes_unchanged(argv, capsys):
     assert cli_main(argv.split()) == 0
@@ -153,6 +164,13 @@ GOLDEN_ESTIMATE = {
         ESTIMATE_HEADER + [",allpay,8,400,,4,0.2213017625,,,52.11161822"],
     "estimate --source universal-b --target uniform-stair --n 8 --format firstprice --seed 4":
         ESTIMATE_HEADER + [",firstprice,8,400,,4,0.1924014563,,,18.13196361"],
+    # x = I_q(16, 16) and I_q(156, 100): tails with both parameters above 2
+    "estimate --source k-unit:16 --target k-unit:16 --n 32 --format firstprice --seed 4":
+        ESTIMATE_HEADER + [",firstprice,32,400,,4,0.2461758651,,,94.33588763"],
+    "estimate --source k-unit:16 --target k-unit:16 --n 32 --format allpay --seed 4":
+        ESTIMATE_HEADER + [",allpay,32,400,,4,0.2590215871,,,94.33588763"],
+    "estimate --source uniform-stair --target k-unit:100 --n 256 --format firstprice --seed 4":
+        ESTIMATE_HEADER + [",firstprice,256,400,,4,0.2101434271,,,2532.715027"],
 }
 
 
@@ -161,8 +179,8 @@ def test_estimate_bytes_unchanged(argv, tmp_path, capsys):
     """400 equilibrium bids under the source, written in shuffled order so
     the reader has to sort them."""
     args = argv.split()
-    fmt = args[args.index("--format") + 1]
-    source = parse_rule(args[args.index("--source") + 1], 8)
+    fmt, n = args[args.index("--format") + 1], int(args[args.index("--n") + 1])
+    source = parse_rule(args[args.index("--source") + 1], n)
     bids = sample_bids(bid_curve(fmt, Beta22(), source, QuantileGrid(2000)), 400, seed=4).bids
     path = tmp_path / "bids.csv"
     np.savetxt(path, np.random.default_rng(0).permutation(bids), header="bid", comments="",
