@@ -10,8 +10,10 @@ rules here reduce to weighted sums of the multi-unit rules
 which are known in closed form and do not depend on the value distribution.
 Marginal weights come in runs of equal value (the uniform stair is a single
 run), and a run of multi-unit terms sums to a binomial interval probability,
-so each rule is evaluated in O(runs) calls instead of O(n).  All evaluators
-accept scalars or numpy arrays and are pure functions.
+so each rule is evaluated in O(runs) calls instead of O(n).  Binomial tails
+come from _ibeta, the regularized incomplete beta function at integer
+parameters, in numpy alone.  All evaluators accept scalars or numpy arrays
+and are pure functions.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 
 class DegenerateRuleError(ValueError):
@@ -38,9 +39,9 @@ def multi_unit_alloc(k: int, n: int, q):
     """Probability that an agent at quantile q is served by the
     highest-k-bids-win auction with n agents.
 
-    x_k(q) = sum_{i=0}^{k-1} C(n-1, i) q^{n-1-i} (1-q)^i, evaluated through
-    the regularized incomplete beta function for numerical stability at
-    large n.
+    x_k(q) = sum_{i=0}^{k-1} C(n-1, i) q^{n-1-i} (1-q)^i, evaluated as the
+    regularized incomplete beta function I_q(n-k, k), which keeps its
+    relative accuracy at large n and in the far tail.
     """
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
@@ -48,7 +49,7 @@ def multi_unit_alloc(k: int, n: int, q):
     if k == n:
         return np.ones_like(q)
     # sum equals P(Binom(n-1, 1-q) <= k-1) = I_q(n-k, k)
-    return special.betainc(n - k, k, q)
+    return _ibeta(n - k, k, q)
 
 
 def multi_unit_alloc_deriv(k: int, n: int, q):
@@ -80,6 +81,97 @@ def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
         return np.exp(e, out=np.empty_like(q))
 
 
+#: I_x(2, b) sums its pmf series where b x < _SERIES_ODDS (1 - x), the far
+#: tail in which 1 - (1-x)^b (1 + b x) would cancel; there each term is at
+#: most 1/24 of the one before, so _SERIES_TERMS terms leave < 1e-16 relative
+_SERIES_ODDS = 0.125
+_SERIES_TERMS = 12
+#: the continued fraction stops once a step moves it by at most this much
+_CF_EPS = 1e-15
+_CF_TINY = 1e-300
+_CF_MAXIT = 10_000
+
+
+def _ibeta(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """The regularized incomplete beta function at integer a, b >= 1,
+    I_x(a, b) = P(Bin(a+b-1, x) >= a), for x in [0, 1], with exact 0 and 1
+    at the ends.
+
+    min(a, b) <= 2 has closed forms whose terms are all positive, so a small
+    tail keeps its relative accuracy: I_x(a, 1) = x^a, I_x(1, b) = 1 - (1-x)^b
+    through expm1, I_x(a, 2) = x^a (1 + a(1-x)), and I_x(2, b) =
+    1 - (1-x)^b (1 + b x) away from the far tail, where the pmf series from 2
+    up replaces it.  Larger a and b go to the continued fraction.
+    """
+    with np.errstate(divide="ignore", under="ignore"):
+        if b == 1:
+            return x ** a
+        if a == 1:
+            return 0.0 - np.expm1(b * np.log1p(-x))
+        if b == 2:
+            return x ** a * (1.0 + a * (1.0 - x))
+        flat = x.reshape(-1)
+        if a == 2:
+            out = 1.0 - np.exp(b * np.log1p(-flat)) * (1.0 + b * flat)
+            far = np.flatnonzero(b * flat < _SERIES_ODDS * (1.0 - flat))
+            if far.size:
+                out[far] = _pmf_series(b, flat[far])
+        else:
+            out = np.empty_like(flat)
+            swap = flat >= (a + 1.0) / (a + b + 2.0)
+            out[~swap] = _ibeta_cf(a, b, flat[~swap])
+            out[swap] = 1.0 - _ibeta_cf(b, a, 1.0 - flat[swap])
+    return out.reshape(x.shape)[()]
+
+
+def _pmf_series(b: int, x: np.ndarray) -> np.ndarray:
+    """I_x(2, b) = sum_{j>=2} P(Bin(b+1, x) = j), for b x < _SERIES_ODDS (1-x)."""
+    r = x / (1.0 - x)
+    term = b * (b + 1) / 2 * x * x * np.exp((b - 1) * np.log1p(-x))
+    total = term.copy()
+    for j in range(2, min(b + 1, _SERIES_TERMS + 2)):
+        term *= (b + 1 - j) / (j + 1) * r
+        total += term
+    return total
+
+
+def _ibeta_cf(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) for x < (a+1)/(a+b+2), where the continued fraction of
+    I_x(a, b) / (C(a+b-1, a) x^a (1-x)^b) converges fast; the fraction is
+    evaluated by the modified Lentz method, and each point leaves the loop
+    once it has converged.  The prefactor is formed in log space, with
+    log C(a+b-1, a) rounded once as in _binom_pmf."""
+    out = np.exp(math.log(math.comb(a + b - 1, a)) + a * np.log(x) + b * np.log1p(-x))
+    live = np.arange(len(x))
+    xs = x
+    c = np.ones_like(x)
+    d = 1.0 / _lentz_floor(1.0 - (a + b) / (a + 1.0) * x)
+    h = d.copy()
+    for m in range(1, _CF_MAXIT):
+        if not live.size:
+            return out
+        even = m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 1.0 + 2 * m))
+        for coef in (even, odd):
+            aa = coef * xs
+            d = 1.0 / _lentz_floor(1.0 + aa * d)
+            c = _lentz_floor(1.0 + aa / c)
+            step = d * c
+            h *= step
+        done = np.abs(step - 1.0) <= _CF_EPS
+        if done.any():
+            out[live[done]] *= h[done]
+            keep = ~done
+            live, xs, c, d, h = live[keep], xs[keep], c[keep], d[keep], h[keep]
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge at a={a}, b={b}")
+
+
+def _lentz_floor(v: np.ndarray) -> np.ndarray:
+    """v with entries of magnitude below _CF_TINY replaced by _CF_TINY."""
+    v[np.abs(v) < _CF_TINY] = _CF_TINY
+    return v
+
+
 def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
     """P(a <= Bin(m, 1-q) <= b).
 
@@ -89,8 +181,9 @@ def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
     differenced where the interval lies below the mean m(1-q), upper tails
     elsewhere, so two values near 1 never cancel.  The upper tails take
     p = 1-q, exact for q >= 1/2 and within half an ulp below; a tail of
-    order j <= m amplifies that to at most about m ulps.  (scipy's betaincc
-    would stay in q but costs about ten times as much as betainc.)
+    order j <= m amplifies that to at most about m ulps.  Each tail comes from
+    _ibeta with its relative accuracy, so a difference of two small tails is
+    as accurate as the two are.
     """
     a, b = max(a, 0), min(b, m)
     if a > b:
@@ -100,16 +193,27 @@ def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:
     if a == b:
         return _binom_pmf(m, a, q)
     if a == 0:
-        return special.betainc(m - b, b + 1, q)
+        return _ibeta(m - b, b + 1, q)
     if b == m:
-        return special.betainc(a, m - a + 1, 1.0 - q)
+        return _ibeta(a, m - a + 1, 1.0 - q)
     flat = q.reshape(-1)
     low = b < m * (1.0 - flat)
     ql, pu = flat[low], 1.0 - flat[~low]
     out = np.empty_like(flat)
-    out[low] = special.betainc(m - b, b + 1, ql) - special.betainc(m - a + 1, a, ql)
-    out[~low] = special.betainc(a, m - a + 1, pu) - special.betainc(b + 1, m - b, pu)
+    out[low] = _ibeta(m - b, b + 1, ql) - _ibeta(m - a + 1, a, ql)
+    out[~low] = _ibeta(a, m - a + 1, pu) - _ibeta(b + 1, m - b, pu)
     return out.reshape(q.shape)
+
+
+def read_only(a: np.ndarray, given) -> np.ndarray:
+    """a with writes disabled.  When a shares memory with given, the caller's
+    writable array, a copy is frozen instead, so the caller keeps a writable
+    array and its later writes do not reach the stored one; a read-only
+    input is kept as it is."""
+    if isinstance(given, np.ndarray) and given.flags.writeable and np.may_share_memory(a, given):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _check_position_weights(w: np.ndarray) -> None:
@@ -131,11 +235,10 @@ class PositionWeights:
     w: np.ndarray
 
     def __init__(self, w):
-        w = np.asarray(w, dtype=float)
+        given, w = w, np.asarray(w, dtype=float)
         _check_position_weights(w)
         object.__setattr__(self, "n", len(w))
-        object.__setattr__(self, "w", w)
-        self.w.setflags(write=False)
+        object.__setattr__(self, "w", read_only(w, given))
 
 
 @dataclass(frozen=True)
@@ -154,8 +257,7 @@ class MarginalWeights:
             raise ValueError("marginal weights must be nonnegative")
         if abs(wbar.sum() - 1.0) > 1e-12:
             raise ValueError("marginal weights must sum to 1")
-        object.__setattr__(self, "wbar", wbar)
-        self.wbar.setflags(write=False)
+        object.__setattr__(self, "wbar", read_only(wbar, self.wbar))
 
 
 def marginal_weights(w: PositionWeights) -> MarginalWeights:
@@ -204,9 +306,8 @@ class AllocationRule:
     _runs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.array(self._w, dtype=float)
+        w = read_only(np.asarray(self._w, dtype=float), self._w)
         _check_position_weights(w)
-        w.setflags(write=False)
         wbar = w[:-1] - w[1:]  # wbar[i] is the marginal weight of k = i+1 units
         runs: list[list[int]] = []
         for i in np.flatnonzero(wbar):

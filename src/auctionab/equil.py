@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import AllocationRule, DegenerateRuleError
+from .alloc import AllocationRule, DegenerateRuleError, read_only
 from .dist import DEFAULT_GRID, QuantileGrid, ValueDistribution
 
 ALL_PAY = "allpay"
@@ -116,8 +116,7 @@ class BidSample:
             bids = np.sort(bids)
         if bids[0] < 0:
             raise ValueError("bids must be nonnegative")
-        object.__setattr__(self, "bids", bids)
-        self.bids.setflags(write=False)
+        object.__setattr__(self, "bids", read_only(bids, self.bids))
 
     @property
     def n(self) -> int:
@@ -248,4 +247,5 @@ def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
         bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
     if bids.size == 0:
         raise ValueError(f"bid file {csv_path} holds no bids")
+    bids.setflags(write=False)  # no one else holds it, so BidSample need not copy it
     return BidSample(fmt, rule, bids)

@@ -1,5 +1,8 @@
+import itertools
 import pickle
 import warnings
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,12 +28,10 @@ from auctionab.alloc import (
     universal_b,
     weights_from_marginals,
 )
-from auctionab.alloc import _binom_pmf
+from auctionab.alloc import _between, _binom_pmf, _ibeta
 
 
 def direct_alloc(k, n, q):
-    from math import comb
-
     return sum(comb(n - 1, i) * q ** (n - 1 - i) * (1 - q) ** i for i in range(k))
 
 
@@ -108,6 +109,61 @@ class TestMultiUnitDerivatives:
                     assert got[1] == pytest.approx(float(j == 0), abs=0, rel=1e-15)
 
 
+IBETA_PARAMS = (1, 2, 3, 5, 16, 100, 511, 1023, 2048)
+IBETA_X = np.unique(np.concatenate([
+    np.linspace(0.0, 1.0, 2001), np.geomspace(1e-300, 1e-3, 300),
+    1.0 - np.geomspace(1e-12, 1e-3, 100), [1e-300, 1e-12, 1.0 - 1e-12]]))
+
+
+class TestIncompleteBeta:
+    """_ibeta against scipy's betainc, which the tests alone load."""
+
+    @pytest.mark.parametrize("a, b", itertools.product(IBETA_PARAMS, IBETA_PARAMS))
+    def test_matches_scipy(self, a, b):
+        # scipy's own value is off by up to 3.7e-8 relative near 1e-280 at
+        # (2048, 16) (see the pinned values below), so the relative check stops
+        # at 1e-270 and an absolute one of 1e-12 times that takes over
+        ref = special.betainc(a, b, IBETA_X)
+        got = _ibeta(a, b, IBETA_X)
+        big = ref >= 1e-270
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
+        assert np.all(np.abs(got[~big] - ref[~big]) <= 1e-282)
+
+    @pytest.mark.parametrize("a, b, x, value", [
+        # 40-digit values from mpmath.betainc(a, b, 0, x, regularized=True)
+        (2048, 16, 0.7065, 3.822808756923726e-280),
+        (1023, 16, 0.4995, 1.5190872893314698e-280),
+        (511, 3, 0.2785, 1.3840818912475531e-279),
+        (16, 16, 1.2030053494232995e-15, 5.783403590963433e-231),
+    ])
+    def test_far_tail_keeps_relative_accuracy(self, a, b, x, value):
+        assert _ibeta(a, b, np.array([x]))[0] == pytest.approx(value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a, b", itertools.product(IBETA_PARAMS, IBETA_PARAMS))
+    def test_exact_at_the_ends(self, a, b):
+        got = _ibeta(a, b, np.array([0.0, 1.0]))
+        assert got.tolist() == [0.0, 1.0] and not np.signbit(got).any()
+
+    def test_scalar_and_shape(self):
+        for a, b in ((1, 5), (5, 1), (5, 2), (2, 5), (5, 5)):
+            assert np.shape(_ibeta(a, b, np.array(0.3))) == ()
+            assert _ibeta(a, b, np.full((2, 3), 0.3)).shape == (2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(-2, 42), st.integers(-2, 42),
+           st.lists(st.floats(0.0, 1.0) | st.sampled_from([1e-300, 1e-12, 1.0 - 1e-12]),
+                    min_size=1, max_size=6))
+    def test_between_is_the_pmf_sum(self, m, a, b, qs):
+        """P(a <= Bin(m, 1-q) <= b), summed exactly in rationals."""
+        q = np.array(qs)
+        got = _between(m, a, b, q)
+        for g, t in zip(got, qs):
+            qf = Fraction(t)
+            exact = float(sum(comb(m, j) * (1 - qf) ** j * qf ** (m - j)
+                              for j in range(max(a, 0), min(b, m) + 1)))
+            assert abs(g - exact) <= 1e-12 * exact + 1e-300, (m, a, b, t)
+
+
 class TestPositionWeights:
     def test_valid_construction(self):
         w = PositionWeights([1.0, 0.5, 0.0])
@@ -127,6 +183,16 @@ class TestPositionWeights:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             PositionWeights([1.0])
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([1.0, 0.5])
+        w = PositionWeights(a)
+        a[0] = 0.9
+        assert w.w.tolist() == [1.0, 0.5] and not w.w.flags.writeable
+
+    def test_read_only_input_not_copied(self):
+        w = MultiUnit(2, 4).weights.w
+        assert PositionWeights(w).w is w
 
 
 class TestAllocationRuleWeights:
@@ -149,6 +215,12 @@ class TestAllocationRuleWeights:
         rule = AllocationRule(np.array([1.0, 0.5 + 1e-13, 0.5, 0.0]))
         assert rule.n == 4
 
+    def test_caller_array_stays_writable(self):
+        a = np.array([1.0, 0.5, 0.0])
+        rule = AllocationRule(a)
+        a[1] = 0.7
+        assert rule.weights.w.tolist() == [1.0, 0.5, 0.0] and not rule.weights.w.flags.writeable
+
 
 class TestMarginalWeights:
     def test_two_agent_example(self):
@@ -158,6 +230,12 @@ class TestMarginalWeights:
     def test_sum_to_one_enforced(self):
         with pytest.raises(ValueError):
             MarginalWeights(2, np.array([0.5, 0.2, 0.2]))
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([0.5, 0.25, 0.25])
+        m = MarginalWeights(2, a)
+        a[0] = 0.0
+        assert m.wbar.tolist() == [0.5, 0.25, 0.25] and not m.wbar.flags.writeable
 
     def test_round_trip_exact(self):
         for w in ([1.0, 0.5, 0.0], [0.9, 0.9, 0.3, 0.1], list(uniform_stair_weights(7).w)):

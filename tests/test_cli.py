@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from auctionab.alloc import Position, universal_b
+import auctionab
+from auctionab.alloc import Position, parse_rule, universal_b
 from auctionab.cli import cli_main
 from auctionab.dist import Beta22, QuantileGrid
-from auctionab.equil import allpay_bid_curve, sample_bids, write_bid_csv
+from auctionab.equil import allpay_bid_curve, bid_curve, sample_bids, write_bid_csv
 
 
 def run(capsys, argv):
@@ -232,3 +238,49 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("design 2\n")
         assert cli_main(["simulate", "--config", str(cfg), "--seed", "1"]) == 2
+
+
+#: runs each command line given after the mode, with scipy unimportable when
+#: the mode is "blocked", and lists the scipy modules loaded at the end
+RUN_ALL = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from auctionab.cli import cli_main
+for argv in sys.argv[2:]:
+    print("$", argv, flush=True)
+    print("exit", cli_main(argv.split()), flush=True)
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is needed by the tests alone: with it unimportable every
+    subcommand prints the bytes it prints with scipy installed, and neither
+    run loads a scipy module."""
+    bids = {}
+    for fmt, source, n in (("allpay", "universal-b", 8), ("firstprice", "k-unit:16", 32)):
+        curve = bid_curve(fmt, Beta22(), parse_rule(source, n), QuantileGrid(500))
+        bids[fmt] = tmp_path / f"{fmt}.csv"
+        write_bid_csv(sample_bids(curve, 300, seed=4), bids[fmt])
+    commands = [
+        "simulate --design 2 --n 8 --N 200 --trials 4 --grid-m 500 --seed 3 --format allpay",
+        "simulate --design 3 --n 8 --N 200 --trials 4 --grid-m 500 --seed 3 --format firstprice",
+        f"estimate --bids {bids['allpay']} --source universal-b --target k-unit:3 --n 8 "
+        "--format allpay --seed 4",
+        f"estimate --bids {bids['firstprice']} --source k-unit:16 --target k-unit:16 --n 32 "
+        "--format firstprice --seed 4",
+        "bounds --design 3 --n 32 --N 1000 --seed 0",
+        "compare --b1 k-unit:2 --b2 uniform-stair --n 8 --N 300 --trials 3 --eps 0.1 "
+        "--grid-m 500 --seed 5",
+        "table --design 2 --trials 4 --ns 4,8 --sample-sizes 50 --seed 1",
+        "sweep --design 2 --n 8 --N 200 --trials 4 --grid-m 500 --eps-list 0.01,0.1 --seed 2",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
+    out = {mode: subprocess.run([sys.executable, "-c", RUN_ALL, mode, *commands],
+                                capture_output=True, text=True, check=True, env=env).stdout
+           for mode in ("blocked", "installed")}
+    assert out["blocked"] == out["installed"]
+    lines = out["blocked"].splitlines()
+    assert lines.count("exit 0") == len(commands)
+    assert lines[-1] == "[]"

@@ -1,15 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import auctionab
 from auctionab.alloc import (
     DegenerateRuleError,
     MultiUnit,
@@ -221,16 +216,6 @@ class TestDraw:
             assert allpay_bid_curve(Beta22(), rule, GRID).ordered
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """A fresh interpreter pays only for scipy.special, not scipy.integrate
-    and the optimize/linalg/sparse stack it loads."""
-    code = "import sys, auctionab; print('scipy.integrate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
-
-
 class TestEmpiricalBidFunction:
     def test_step_lookup(self):
         s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.2, 0.5, 0.9]))
@@ -266,6 +251,12 @@ class TestBidSample:
         s = BidSample(ALL_PAY, MultiUnit(1, 4), np.array([0.1, 0.2]))
         assert s.n == 4
 
+    def test_caller_array_stays_writable(self):
+        a = np.array([0.1, 0.2])
+        s = BidSample(ALL_PAY, uniform_stair(2), a)
+        a[0] = 0.15
+        assert s.bids.tolist() == [0.1, 0.2] and not s.bids.flags.writeable
+
 
 SPECIAL_BIDS = [0.0, -0.0, 5e-324, 1e300, 1 / 3]
 
@@ -283,6 +274,12 @@ class TestCsvIo:
         assert path.read_bytes() == ref.read_bytes()
         back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
         assert back.bids.tobytes() == s.bids.tobytes()
+
+    def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch):
+        path, loaded, loadtxt = tmp_path / "bids.csv", [], np.loadtxt
+        write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.1, 0.2, 0.4])), path)
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loaded.append(loadtxt(*a, **k)) or loaded[0])
+        assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids is loaded[0]
 
     @pytest.mark.parametrize("text, message", [
         ("0.1\n0.2\n", "must start with the header line 'bid'"),
