@@ -140,12 +140,13 @@ def _ibeta_cf(a: int, b: int, x: np.ndarray) -> np.ndarray:
     I_x(a, b) / (C(a+b-1, a) x^a (1-x)^b) converges fast; the fraction is
     evaluated by the modified Lentz method, and each point leaves the loop
     once it has converged.  The prefactor is formed in log space, with
-    log C(a+b-1, a) rounded once as in _binom_pmf."""
+    log C(a+b-1, a) rounded once as in _binom_pmf; where it underflows to 0
+    the value is 0 and the fraction is not evaluated."""
     out = np.exp(math.log(math.comb(a + b - 1, a)) + a * np.log(x) + b * np.log1p(-x))
-    live = np.arange(len(x))
-    xs = x
-    c = np.ones_like(x)
-    d = 1.0 / _lentz_floor(1.0 - (a + b) / (a + 1.0) * x)
+    live = np.flatnonzero(out)
+    xs = x[live]
+    c = np.ones_like(xs)
+    d = 1.0 / _lentz_floor(1.0 - (a + b) / (a + 1.0) * xs)
     h = d.copy()
     for m in range(1, _CF_MAXIT):
         if not live.size:

@@ -276,9 +276,15 @@ class TestCsvIo:
         assert back.bids.tobytes() == s.bids.tobytes()
 
     def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch):
-        path, loaded, loadtxt = tmp_path / "bids.csv", [], np.loadtxt
+        """Sorted bids read from a file are stored without a copy."""
+        path, loaded, real_loadtxt = tmp_path / "bids.csv", [], np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            loaded.append(real_loadtxt(*args, **kwargs))
+            return loaded[-1]
+
         write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.1, 0.2, 0.4])), path)
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loaded.append(loadtxt(*a, **k)) or loaded[0])
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids is loaded[0]
 
     @pytest.mark.parametrize("text, message", [

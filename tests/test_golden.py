@@ -6,8 +6,9 @@ tables, recorded before the bound inputs took over the sup 1/x' grid; and
 `simulate` cells in both formats that draw far more bids than the grid has
 points, recorded before such draws were built by counting; and more `bounds`
 tables, recorded before the bound constants became fixed; and first-price
-cells at n = 32 and 256 whose rules need binomial tails with both parameters
-above 2, recorded while those tails still came from scipy.  These paths
+`simulate` cells at n = 256 and `estimate` rows whose rules need binomial
+tails with both parameters above 2, recorded while those tails still came
+from scipy.  These paths
 must keep printing the same bytes: same draws per trial, same weights, same
 CSV formatting."""
 import numpy as np
