@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -186,7 +187,9 @@ def cmd_table(args) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="auctionab",
         description="Counterfactual revenue and welfare estimation for rank-by-bid auctions.",

@@ -1,15 +1,20 @@
 """Counterfactual estimators: revenue, expected value, and welfare of a
 target auction from bids observed in equilibrium of a different auction.
 
-The all-pay revenue estimator is a weighted order statistic of the sorted
-bids: with source rule x, target rule y, and weight kernel
-Z(q) = (1-q) y'(q)/x'(q), the estimate is
+Each estimate applies a kernel K on the cell edges q = i/N to the sorted
+bids b_1..b_N by summation by parts: the sum over i = 0..N of
+K_i (b_{i+1} - b_i), with b_0 = b_{N+1} = 0.  Only the edges where the bids
+change enter it, so the rules are evaluated there alone.  With source x and
+target y, K is Z = (1-q) y'/x' for all-pay revenue, -F for first-price
+revenue (F = (1-q) y + int_0^q y - x Z, whose increments integrate -x Z'
+exactly over each bid's cell), and 1/x' for the all-pay expected value,
+whose boundary terms cancel.  Gathered per bid, the sum is the weight form
+sum_i (K_{i-1} - K_i) b_i that the Monte Carlo trials use; where 1/x' spans
+many decades that form cancels to rounding noise on tied bids.
 
-    P_hat = sum_i [Z((i-1)/N) - Z(i/N)] * b_i
-
-which is exact summation by parts of E_q[-Z'(q) b_hat(q)].  The first-price
-variant evaluates E_q[-x(q) Z'(q) b_hat(q)] exactly too: -x Z' is the
-derivative of F(q) = (1-q) y(q) + int_0^q y - x(q) Z(q).
+DegenerateSourceError is raised only at an edge the estimate uses, where x'
+vanishes and the target's slope does not, so a source that is flat only
+where the bids tie estimates without error.
 """
 from __future__ import annotations
 
@@ -60,28 +65,27 @@ class EstimateReport:
 
 
 class SourceGrid:
-    """A source rule x evaluated once on the N+1 cell edges q = i/N of N
-    sorted bids.  Every estimator divides by the slope x' at the edges
-    clamped into [1/(2N), 1 - 1/(2N)], where the rules' slopes may both
-    vanish; first-price weights also need x(q).  Targets then build their
-    weights from these one at a time, so no (targets x N) matrix is held.
+    """A source rule x evaluated once on cell edges q = i/N of N sorted
+    bids: all N+1 of them, or the increasing edge indices `edges`.  Every
+    kernel divides by the slope x' at the edges clamped into
+    [1/(2N), 1 - 1/(2N)], where the rules' slopes may both vanish;
+    first-price kernels also need x(q).  Targets then build their kernels
+    from these one at a time, so no (targets x N) matrix is held.
     """
 
-    def __init__(self, fmt: str, x: AllocationRule, N: int):
+    def __init__(self, fmt: str, x: AllocationRule, N: int, edges: Optional[np.ndarray] = None):
         if fmt not in (ALL_PAY, FIRST_PRICE):
             raise ValueError(f"unknown payment format {fmt!r}")
         self.fmt = fmt
-        self.q = np.arange(N + 1) / N
+        self.q = (np.arange(N + 1) if edges is None else edges) / N
         self.qe = np.clip(self.q, 0.5 / N, 1.0 - 0.5 / N)
         self.xp = x.xprime(self.qe)
         self.flat = np.abs(self.xp) <= TINY_SLOPE
         self.xq = x.x(self.q) if fmt == FIRST_PRICE else None
 
-    def weights(self, y: AllocationRule) -> np.ndarray:
-        """The N weights whose dot product with the sorted bids estimates
-        y's revenue.  All-pay: the summation-by-parts increments of
-        Z = (1-q) y'/x'.  First-price: the integral of -x Z' over each bid's
-        cell, the increment of F over it."""
+    def kernel(self, y: AllocationRule) -> np.ndarray:
+        """y's revenue kernel at the edges.  All-pay: Z = (1-q) y'/x'.
+        First-price: -F, F = (1-q)(y - x y'/x') + int_0^q y."""
         # y'/x', 0 where both slopes vanish; exactly 1 when y is x (exact self-estimation)
         yp = y.xprime(self.qe)
         bad = self.flat & (np.abs(yp) > TINY_SLOPE)
@@ -91,24 +95,26 @@ class SourceGrid:
             r = np.where(self.flat, 0.0, yp / np.where(self.flat, 1.0, self.xp))
         q = self.q
         if self.fmt == ALL_PAY:
-            Z = (1.0 - q) * r
-            return Z[:-1] - Z[1:]
-        return np.diff((1.0 - q) * (y.x(q) - self.xq * r) + y.xint(q))
+            return (1.0 - q) * r
+        return -((1.0 - q) * (y.x(q) - self.xq * r) + y.xint(q))
 
-    def revenues(self, bids: np.ndarray, ys) -> np.ndarray:
-        """Each target's revenue estimate from the same sorted bids."""
-        return np.array([float(self.weights(y) @ bids) for y in ys])
-
-    def expected_value(self, bids: np.ndarray) -> float:
-        """Mean agent value from sorted all-pay bids: summation by parts of
-        E_q[b'(q)/x'(q)] with kernel 1/x'(q), boundary terms retained."""
+    def value_kernel(self) -> np.ndarray:
+        """The expected-value kernel of an all-pay sample: 1/x' on the
+        interior edges, 0 at q = 0 and 1."""
         if self.fmt != ALL_PAY:
             raise ValueError("expected-value estimation needs an all-pay sample")
-        if np.any(self.flat):
-            raise DegenerateSourceError(float(self.qe[np.argmax(self.flat)]))
-        zbar = 1.0 / self.xp
-        w = zbar[:-1] - zbar[1:]
-        return float(w @ bids + zbar[-1] * bids[-1] - zbar[0] * bids[0])
+        inner = (self.q > 0.0) & (self.q < 1.0)
+        bad = self.flat & inner
+        if np.any(bad):
+            raise DegenerateSourceError(float(self.qe[np.argmax(bad)]))
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(inner, 1.0 / self.xp, 0.0)
+
+    def weights(self, y: AllocationRule) -> np.ndarray:
+        """The N weights K_{i-1} - K_i of the full grid, whose dot product
+        with the sorted bids estimates y's revenue."""
+        K = self.kernel(y)
+        return K[:-1] - K[1:]
 
 
 def revenue_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
@@ -121,11 +127,24 @@ def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarr
     return SourceGrid(FIRST_PRICE, x, N).weights(y)
 
 
+def _bid_steps(sample: BidSample, x: AllocationRule) -> tuple[SourceGrid, np.ndarray]:
+    """x on the edges where the sorted bids, with a 0 before and after,
+    change, and those changes b_{i+1} - b_i: a kernel dotted with them is
+    the estimate."""
+    steps = np.diff(sample.bids, prepend=0.0, append=0.0)
+    edges = np.flatnonzero(steps)
+    return SourceGrid(sample.format, x, sample.size, edges), steps[edges]
+
+
+def _revenues(grid: SourceGrid, steps: np.ndarray, ys) -> np.ndarray:
+    return np.array([float(grid.kernel(y) @ steps) for y in ys])
+
+
 def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
     """Per-agent revenue of target rule y from bids under source x, by the
-    estimator of the sample's payment format (SourceGrid.weights)."""
+    kernel of the sample's payment format (SourceGrid.kernel)."""
     return EstimateReport(
-        float(SourceGrid(sample.format, x, sample.size).weights(y) @ sample.bids),
+        float(estimate_revenues(sample, x, (y,))[0]),
         meta={"format": sample.format, "n": x.n, "N": sample.size,
               "source": x.describe(), "target": y.describe(), **meta},
     )
@@ -143,7 +162,7 @@ def estimate_revenue_allpay(
 def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:
     """The revenue of each target in ys from one sample under source x: the
     points of estimate_revenue, bit for bit, with x evaluated once."""
-    return SourceGrid(sample.format, x, sample.size).revenues(sample.bids, ys)
+    return _revenues(*_bid_steps(sample, x), ys)
 
 
 def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndarray:
@@ -153,9 +172,10 @@ def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndar
 
 
 def estimate_expected_value(sample: BidSample, x: AllocationRule, **meta) -> EstimateReport:
-    """Mean agent value from all-pay bids (SourceGrid.expected_value)."""
+    """Mean agent value from all-pay bids (SourceGrid.value_kernel)."""
+    grid, steps = _bid_steps(sample, x)
     return EstimateReport(
-        SourceGrid(sample.format, x, sample.size).expected_value(sample.bids),
+        float(grid.value_kernel() @ steps),
         meta={"format": ALL_PAY, "n": x.n, "N": sample.size, "source": x.describe(), **meta},
     )
 
@@ -165,12 +185,13 @@ def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights, *
 
         SW = w_1 vbar - sum_{k=1}^{n-1} (w_1 - w_{k+1}) P_k / k
 
-    composed from the expected-value and multi-unit revenue estimators,
-    which share one evaluation of x'.
+    composed from the expected-value estimate and the n-1 multi-unit
+    revenue estimates, their kernels all taken on one grid of the edges
+    where the bids change.
     """
-    src = SourceGrid(sample.format, x, sample.size)
-    vbar = src.expected_value(sample.bids)
-    pk = src.revenues(sample.bids, [MultiUnit(k, x.n) for k in range(1, x.n)])
+    grid, steps = _bid_steps(sample, x)
+    vbar = float(grid.value_kernel() @ steps)
+    pk = _revenues(grid, steps, [MultiUnit(k, x.n) for k in range(1, x.n)])
     k = np.arange(1, w.n)
     point = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * pk / k))
     return EstimateReport(

@@ -8,7 +8,7 @@ import pytest
 
 import auctionab
 from auctionab.alloc import Position, parse_rule, universal_b
-from auctionab.cli import cli_main
+from auctionab.cli import build_parser, cli_main
 from auctionab.dist import Beta22, QuantileGrid
 from auctionab.equil import allpay_bid_curve, bid_curve, sample_bids, write_bid_csv
 
@@ -246,7 +246,7 @@ RUN_ALL = """
 import sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
-from auctionab.cli import cli_main
+from auctionab.cli import build_parser, cli_main
 for argv in sys.argv[2:]:
     print("$", argv, flush=True)
     print("exit", cli_main(argv.split()), flush=True)
@@ -284,3 +284,27 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     lines = out["blocked"].splitlines()
     assert lines.count("exit 0") == len(commands)
     assert lines[-1] == "[]"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process: an estimate, a usage error and
+    bounds, run in turn in this process, print the bytes and exit codes
+    that each prints in a fresh interpreter."""
+    bids = tmp_path / "bids.csv"
+    curve = allpay_bid_curve(Beta22(), Position(universal_b(8)), QuantileGrid(500))
+    write_bid_csv(sample_bids(curve, 300, 4), bids)
+    commands = [
+        ["estimate", "--bids", str(bids), "--source", "universal-b", "--target", "k-unit:3",
+         "--n", "8", "--seed", "4"],
+        ["bounds", "--design", "2", "--n", "8", "--seed", "1"],
+        ["bounds", "--design", "3", "--n", "32", "--N", "1000", "--seed", "0"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
+    fresh = [subprocess.run([sys.executable, "-c", "from auctionab.cli import main; main()", *argv],
+                            capture_output=True, text=True, env=env) for argv in commands]
+    assert [r.returncode for r in fresh] == [0, 2, 0]
+    for argv, r in zip(commands, fresh):
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (r.returncode, r.stdout, r.stderr)
+    assert build_parser() is build_parser()

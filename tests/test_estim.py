@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auctionab.abtest import best_of_r, compare_revenues, revenue_verdict
@@ -21,6 +21,7 @@ from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, allpay_bid_curve, b
 from auctionab.estim import (
     DegenerateSourceError,
     EstimateReport,
+    SourceGrid,
     estimate_expected_value,
     estimate_multiunit_revenues,
     estimate_revenue,
@@ -102,6 +103,37 @@ class TestAllPayEstimator:
         s = allpay_sample(Uniform01(), uniform_stair(2), 100, 0)
         with pytest.raises(DegenerateSourceError):
             estimate_revenue(s, rule, uniform_stair(2))
+
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_flat_source_where_bids_tie_estimates(self, fmt):
+        # one-unit at n=200 has x' = 199 q^198 = 0 in floating point for
+        # q <= 0.02; the first 50 bids are tied at 0, so no edge the
+        # estimate uses is flat, while the weight form uses every edge
+        x, y = MultiUnit(1, 200), uniform_stair(200)
+        s = BidSample(fmt, x, np.concatenate([np.zeros(50), np.linspace(0.1, 0.5, 50)]))
+        with pytest.raises(DegenerateSourceError):
+            SourceGrid(fmt, x, 100).weights(y)
+        assert np.isfinite(estimate_revenue(s, x, y).point)
+        if fmt == ALL_PAY:
+            assert np.isfinite(estimate_expected_value(s, x).point)
+
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_flat_edge_with_a_bid_step_raises_there(self, fmt):
+        # the bids first change at edge 2 (q = 0.02), where x' is 0
+        x, y = MultiUnit(1, 200), uniform_stair(200)
+        s = BidSample(fmt, x, np.concatenate([np.zeros(2), np.linspace(0.1, 0.5, 98)]))
+        with pytest.raises(DegenerateSourceError, match=r"q=0\.02$") as exc:
+            estimate_revenue(s, x, y)
+        assert exc.value.quantile == 0.02
+
+    def test_expected_value_never_uses_the_ends(self):
+        # at N = 20 only edge 0 (clamped to q = 0.025) is flat: revenue uses
+        # it through b_1 > 0, while the expected value's boundary terms cancel
+        x = MultiUnit(1, 200)
+        s = BidSample(ALL_PAY, x, np.linspace(0.1, 0.5, 20))
+        with pytest.raises(DegenerateSourceError, match=r"q=0\.025$"):
+            estimate_revenue(s, x, uniform_stair(200))
+        assert np.isfinite(estimate_expected_value(s, x).point)
 
     def test_degenerate_source_error_pickles(self):
         e = pickle.loads(pickle.dumps(DegenerateSourceError(0.5)))
@@ -210,6 +242,52 @@ class TestMultiTarget:
             k = np.arange(1, w.n)
             want = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * np.array(pk) / k))
             assert estimate_welfare(s, x, w).point == want
+
+
+class TestIncrementForm:
+    """Estimates sum the kernel times each bid increment; gathered per bid
+    that is the weight form the Monte Carlo trials use."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fmt=st.sampled_from([ALL_PAY, FIRST_PRICE]), n=st.integers(2, 48),
+           N=st.integers(1, 400), levels=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    @example(fmt=ALL_PAY, n=8, N=1, levels=0, seed=0)
+    @example(fmt=FIRST_PRICE, n=8, N=1, levels=0, seed=0)
+    @example(fmt=ALL_PAY, n=8, N=300, levels=1, seed=1)
+    @example(fmt=FIRST_PRICE, n=8, N=300, levels=1, seed=1)
+    def test_equals_weight_form(self, fmt, n, N, levels, seed):
+        # levels > 0: bids drawn from that many values, so heavily tied
+        # (1: all equal); levels = 0: continuous bids
+        rng = np.random.default_rng(seed)
+
+        def rule():
+            w = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
+            return Position(PositionWeights(np.sort(w)[::-1]))
+
+        x, y = mixture(rule(), uniform_stair(n), 0.5), rule()
+        bids = np.sort(rng.choice(rng.random(levels), N) if levels else rng.random(N))
+        s = BidSample(fmt, x, bids)
+        grid = SourceGrid(fmt, x, N)
+        w = grid.weights(y)
+        assert abs(estimate_revenue(s, x, y).point - w @ bids) <= 1e-12 * np.sum(np.abs(w * bids))
+        if fmt == ALL_PAY:
+            # the expected value's weights keep both boundary terms
+            z = 1.0 / grid.xp
+            terms = np.concatenate([(z[:-1] - z[1:]) * bids, [z[-1] * bids[-1], -z[0] * bids[0]]])
+            assert abs(estimate_expected_value(s, x).point - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_flat_source_value_and_welfare_bounded(self, n):
+        # x' of one-unit + 10% universal-B spans up to 74 decades here; in
+        # weight form E[v] and welfare cancel to rounding noise (E[v] was
+        # -3.2e15 at n = 128 and 1.7e54 at n = 256, the same at every seed)
+        x = mixture(MultiUnit(1, n), Position(universal_b(n)), 0.1)
+        curve = allpay_bid_curve(Beta22(), x, GRID)
+        for seed in range(5):
+            s = sample_bids(curve, 10_000, seed)
+            for est in (estimate_expected_value(s, x).point,
+                        estimate_welfare(s, x, uniform_stair_weights(n)).point):
+                assert np.isfinite(est) and 0.0 <= est < 1.0
 
 
 class TestExpectedValue:
