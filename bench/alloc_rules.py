@@ -1,0 +1,132 @@
+"""Time allocation-rule construction and evaluation, and write the figures
+to BENCH_alloc.json.
+
+    python bench/alloc_rules.py [--baseline DIR] [--repeats 201] [--eval-repeats 3]
+                                [--seed 0] [--out BENCH_alloc.json]
+
+Every case is one rule at one n in {32, 256, 1024}:
+
+- one-unit: MultiUnit(1, n);
+- uniform-stair: uniform_stair(n), one run of n-1 equal marginal weights;
+- design1, design2, design3: the benchmark designs' composites
+  mixture(A, B, DEFAULT_EPS), with A and B built beforehand;
+- universal-b: Position(universal_b(n));
+- distinct: n sorted uniform weights drawn from --seed, whose n-1
+  marginal weights all differ, so each is a run of its own.
+
+A case reports the rule's run count, the median time to build it through
+its public constructor (over --repeats builds) and the median time of x,
+xprime and xint on the SLOPE_GRID uniform quantiles (over --eval-repeats
+calls).  With --baseline DIR, the package under DIR/src (another checkout
+of this repo) is loaded beside this one and timed on the same cases, the
+two taking turns; each case then also records whether both give the same
+runs and bit-identical x, xprime and xint.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import auctionab as ab  # noqa: E402
+from estim_kernels import provenance  # noqa: E402
+
+NS = (32, 256, 1024)
+EVALUATORS = ("x", "xprime", "xint")
+
+
+def load_package(src: Path):
+    """The auctionab package under src, imported as auctionab_baseline."""
+    init = src / "auctionab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        "auctionab_baseline", init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def builders(pkg, n: int, distinct: np.ndarray) -> dict:
+    """Rule name -> a call that builds the rule with pkg."""
+    designs = {f"design{d}": pkg.design_rules(d, n) for d in (1, 2, 3)}
+    cases = {"one-unit": lambda: pkg.MultiUnit(1, n),
+             "uniform-stair": lambda: pkg.uniform_stair(n)}
+    cases.update({name: lambda a=a, b=b: pkg.mixture(a, b, pkg.harness.DEFAULT_EPS)
+                  for name, (a, b) in designs.items()})
+    cases["universal-b"] = lambda: pkg.Position(pkg.universal_b(n))
+    cases["distinct"] = lambda: pkg.Position(pkg.PositionWeights(distinct))
+    return cases
+
+
+def medians(calls, repeats: int, scale: float) -> list[float]:
+    """Median time of each call, the calls taking turns, in 1/scale s."""
+    times = [[] for _ in calls]
+    for _ in range(repeats):
+        for t, call in zip(times, calls):
+            start = time.perf_counter()
+            call()
+            t.append(time.perf_counter() - start)
+    return [scale * statistics.median(t) for t in times]
+
+
+def describe(repo: Path) -> str:
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=repo,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--baseline", help="another checkout whose src/auctionab is timed beside this one")
+    p.add_argument("--repeats", type=int, default=201, help="builds per case")
+    p.add_argument("--eval-repeats", type=int, default=3, help="calls per evaluator per case")
+    p.add_argument("--seed", type=int, default=0, help="seed of the distinct weights")
+    p.add_argument("--out", default=str(ROOT / "BENCH_alloc.json"))
+    args = p.parse_args()
+    pkgs = {"this": ab}
+    if args.baseline:
+        pkgs["baseline"] = load_package(Path(args.baseline).resolve() / "src")
+    q = np.linspace(0.0, 1.0, ab.alloc.SLOPE_GRID)
+    cases = []
+    for n in NS:
+        distinct = np.sort(np.random.default_rng(args.seed).random(n))[::-1]
+        calls = {label: builders(pkg, n, distinct) for label, pkg in pkgs.items()}
+        for name in calls["this"]:
+            build = [calls[label][name] for label in pkgs]
+            rules = [fn() for fn in build]
+            case = {"rule": name, "n": n, "runs": len(rules[0]._runs),
+                    "build_us": dict(zip(pkgs, medians(build, args.repeats, 1e6)))}
+            for ev in EVALUATORS:
+                fns = [lambda r=r, ev=ev: getattr(r, ev)(q) for r in rules]
+                case[f"{ev}_ms"] = dict(zip(pkgs, medians(fns, args.eval_repeats, 1e3)))
+            if len(rules) > 1:
+                case["same"] = rules[0]._runs == rules[1]._runs and all(
+                    getattr(rules[0], ev)(q).tobytes() == getattr(rules[1], ev)(q).tobytes()
+                    for ev in EVALUATORS)
+            cases.append(case)
+            print(f"n={n:<5d} {name:14s} runs={case['runs']:<5d} build us "
+                  + " ".join(f"{k} {v:9.1f}" for k, v in case["build_us"].items())
+                  + "  x ms " + " ".join(f"{v:8.2f}" for v in case["x_ms"].values())
+                  + (f"  same={case['same']}" if "same" in case else ""), flush=True)
+    out = {"bench": "alloc_rules", "provenance": provenance(args),
+           "this": describe(ROOT), "cases": cases}
+    if args.baseline:
+        out["baseline"] = describe(Path(args.baseline))
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -217,15 +217,18 @@ def read_only(a: np.ndarray, given) -> np.ndarray:
     return a
 
 
-def _check_position_weights(w: np.ndarray) -> None:
+def _check_position_weights(w: np.ndarray) -> np.ndarray:
     """A position-weight vector has at least 2 entries, each in [0, 1]
-    (so no NaN), none above its predecessor by more than rounding."""
+    (so no NaN), none above its predecessor by more than rounding.  Returns
+    the steps w[:-1] - w[1:], the marginal weights of 1..n-1 units."""
     if w.ndim != 1 or len(w) < 2:
         raise ValueError("need a vector of at least 2 position weights")
-    if not np.all((w >= 0.0) & (w <= 1.0)):
+    if not ((w >= 0.0) & (w <= 1.0)).all():
         raise ValueError("position weights must lie in [0, 1]")
-    if np.any(np.diff(w) > 1e-12):
+    wbar = w[:-1] - w[1:]
+    if (wbar < -1e-12).any():
         raise ValueError("position weights must be nonincreasing")
+    return wbar
 
 
 @dataclass(frozen=True)
@@ -271,19 +274,56 @@ def marginal_weights(w: PositionWeights) -> MarginalWeights:
 
 
 def weights_from_marginals(m: MarginalWeights) -> PositionWeights:
-    """Left inverse of marginal_weights: w[k] = sum_{j>=k} wbar[j]."""
-    w = np.empty(m.n)
-    acc = m.wbar[m.n]
-    w[m.n - 1] = acc
-    for k in range(m.n - 1, 0, -1):
-        acc = m.wbar[k] + acc
-        w[k - 1] = acc
-    return PositionWeights(w)
+    """Left inverse of marginal_weights: w[k] = sum_{j>=k} wbar[j], summed
+    from j = n down (add.accumulate adds left to right)."""
+    return PositionWeights(np.cumsum(m.wbar[:0:-1])[::-1])
 
 
 #: neighbouring marginal weights this close (relative) belong to one run;
 #: the uniform stair's increments are not bit-equal floats
 RUN_RTOL = 1e-12
+#: two members of one run differ by at most 2 RUN_RTOL / (1 - RUN_RTOL) of
+#: either, so a step larger than this (relative to the entry before it) ends
+#: every run; the factor 2 to spare covers rounding
+_RUN_STEP = 4 * RUN_RTOL
+
+
+def _run_bounds(wbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts i0 and ends i1 (exclusive) of the runs of wbar: the maximal
+    stretches of nonzero entries in which each entry lies within RUN_RTOL
+    (relative) of the stretch's first, a new run starting at the first entry
+    that does not.
+
+    wbar is cut where a step exceeds _RUN_STEP, which no run crosses, and so
+    at every step to or from zero.  A piece whose largest and smallest
+    entries lie within RUN_RTOL of its first is one run (a difference is
+    exact wherever it is near the tolerance, so the extremes stand for every
+    entry); the rare piece that drifts further is walked entry by entry.
+    Pieces of zeros are dropped.
+    """
+    a = np.abs(wbar)
+    cut = np.empty(len(wbar) + 1, dtype=bool)  # cut[i]: a piece starts at i
+    cut[0] = cut[-1] = True
+    np.greater(np.abs(wbar[1:] - wbar[:-1]), _RUN_STEP * a[:-1], out=cut[1:-1])
+    edges = cut.nonzero()[0]
+    i0 = edges[:-1]
+    first, tol = wbar[i0], RUN_RTOL * a[i0]
+    drift = (np.maximum.reduceat(wbar, i0) - first > tol) | \
+        (first - np.minimum.reduceat(wbar, i0) > tol)
+    walk = drift.nonzero()[0].tolist()
+    for k in walk:
+        piece = wbar[edges[k]:edges[k + 1]].tolist()
+        head = piece[0]
+        for j, v in enumerate(piece):
+            if abs(v - head) > RUN_RTOL * abs(head):
+                cut[edges[k] + j] = True
+                head = v
+    if walk:
+        edges = cut.nonzero()[0]
+        i0 = edges[:-1]
+        first = wbar[i0]
+    live = first.nonzero()[0]
+    return i0[live], edges[1:][live]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +335,10 @@ class AllocationRule:
     rules are equal when their weight vectors are, and the weights pass the
     checks PositionWeights makes.  Build rules with MultiUnit, Position or
     Mixture.  Construction finds once the runs [k0, k1] (k1 <= n-1) of equal
-    nonzero marginal weight and the mass w_k0 - w_{k1+1} of each.  The
+    nonzero marginal weight and the mass w_k0 - w_{k1+1} of each.  A run
+    takes each next weight within RUN_RTOL (relative) of its first; the runs
+    are found in a fixed number of numpy calls (_run_bounds), with a Python
+    step per weight only where weights drift across RUN_RTOL.  The
     evaluators here sum closed forms over those runs; the n-unit term
     wbar_n = w_n only adds w_n to x and w_n q to its integral.
     """
@@ -308,18 +351,12 @@ class AllocationRule:
 
     def __post_init__(self):
         w = read_only(np.asarray(self._w, dtype=float), self._w)
-        _check_position_weights(w)
-        wbar = w[:-1] - w[1:]  # wbar[i] is the marginal weight of k = i+1 units
-        runs: list[list[int]] = []
-        for i in np.flatnonzero(wbar):
-            if runs and runs[-1][1] == i - 1 and \
-                    abs(wbar[i] - wbar[runs[-1][0]]) <= RUN_RTOL * abs(wbar[runs[-1][0]]):
-                runs[-1][1] = i
-            else:
-                runs.append([i, i])
+        # entry i of the steps is the marginal weight of k = i+1 units, so the
+        # run [i0, i1) of steps is the run k0 = i0+1 .. k1 = i1 of terms
+        i0, i1 = _run_bounds(_check_position_weights(w))
         object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_runs", tuple(
-            (int(i0) + 1, int(i1) + 1, float(w[i0] - w[i1 + 1])) for i0, i1 in runs))
+        object.__setattr__(self, "_runs", tuple(zip(
+            (i0 + 1).tolist(), i1.tolist(), (w[i0] - w[i1]).tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, AllocationRule):

@@ -8,7 +8,6 @@ of execution order and safe to parallelize.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,6 +132,9 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     workers = _worker_count()
     if workers <= 1 or trials < 4 * workers:
         return _trial_estimates(curve, ws, N, seed, range(trials))
+    # imported here: it loads multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [range(i, trials, workers) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_worker, [(curve, ws, N, seed, c) for c in chunks]))

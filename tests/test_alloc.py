@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from auctionab.alloc import (
+    RUN_RTOL,
     AllocationRule,
     MarginalWeights,
     Mixture,
@@ -242,6 +243,15 @@ class TestMarginalWeights:
             pw = PositionWeights(w)
             back = weights_from_marginals(marginal_weights(pw))
             np.testing.assert_array_almost_equal(back.w, pw.w, decimal=14)
+        # bit for bit the sum from wbar_n down, one term at a time
+        w = np.sort(np.random.default_rng(3).random(1024))[::-1]
+        for pw in (PositionWeights(w), uniform_stair_weights(1024)):
+            m = marginal_weights(pw)
+            acc, ref = m.wbar[m.n], [m.wbar[m.n]]
+            for k in range(m.n - 1, 0, -1):
+                acc = m.wbar[k] + acc
+                ref.append(acc)
+            assert weights_from_marginals(m).w.tobytes() == np.array(ref[::-1]).tobytes()
 
 
 class TestPositionRule:
@@ -417,6 +427,71 @@ def position_rules(draw):
     wbar = wbar / wbar.sum()
     w = np.minimum(np.cumsum(wbar[::-1])[::-1][1:], 1.0)  # w_k = sum_{j>=k} wbar_j
     return Position(PositionWeights(w))
+
+
+def loop_runs(w):
+    """The runs found entry by entry: a nonzero marginal weight joins the run
+    before it when it is adjacent and within RUN_RTOL of the run's first."""
+    wbar = w[:-1] - w[1:]
+    runs = []
+    for i in np.flatnonzero(wbar):
+        if runs and runs[-1][1] == i - 1 and \
+                abs(wbar[i] - wbar[runs[-1][0]]) <= RUN_RTOL * abs(wbar[runs[-1][0]]):
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return tuple((int(i0) + 1, int(i1) + 1, float(w[i0] - w[i1 + 1])) for i0, i1 in runs)
+
+
+@st.composite
+def drifting_weights(draw):
+    """Weights with n in 2..2048 whose marginals over 1..n-1 come in
+    segments, each from a level (zero, subnormal, or in [1e-6, 1]) that
+    drifts by up to 3e-13 of itself per step, so runs end partway through."""
+    n = draw(st.integers(2, 2048))
+    level = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(1e-6, 1.0)
+    drift = st.sampled_from([0.0, 1e-16]) | st.floats(-3e-13, 3e-13)
+    segs = draw(st.lists(st.tuples(st.integers(1, 600), level, drift), min_size=1, max_size=8))
+    inner = np.concatenate([v * (1.0 + d * np.arange(length)) for length, v, d in segs])
+    wbar = np.append(np.resize(inner, n - 1), draw(st.floats(0.0, 1.0)))
+    wbar /= max(wbar.sum(), 1.0)
+    return np.minimum(np.cumsum(wbar[::-1])[::-1], 1.0)
+
+
+@st.composite
+def distinct_weights(draw):
+    """n in 2..2048 sorted uniform weights, so no two marginals are alike."""
+    n = draw(st.integers(2, 2048))
+    return np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n))[::-1]
+
+
+class TestRunFinder:
+    """Construction finds the runs with a few numpy calls per run; they are
+    exactly the runs of the entry-by-entry walk, as Python ints and floats."""
+
+    def check(self, rule):
+        assert rule._runs == loop_runs(rule._w)
+        assert all(tuple(map(type, run)) == (int, int, float) for run in rule._runs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(position_rules())
+    def test_position_rules(self, rule):
+        self.check(rule)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drifting_weights() | distinct_weights())
+    def test_drifting_and_distinct_marginals(self, w):
+        self.check(AllocationRule(w))
+
+    def test_library_rules(self):
+        for n in (2, 3, 4, 32, 1024):
+            one, stair = MultiUnit(1, n), uniform_stair(n)
+            for rule in (one, stair, MultiUnit(n, n), mixture(one, stair, 0.001),
+                         mixture(stair, one, 0.001), mixture(MultiUnit(n - 1, n), one, 0.001)):
+                self.check(rule)
+
+    def test_uniform_stair_is_one_run(self):
+        assert uniform_stair(1024)._runs == ((1, 1023, 1.0),)
 
 
 def multi_unit_int(k, n, q):

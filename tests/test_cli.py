@@ -286,6 +286,21 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert lines[-1] == "[]"
 
 
+def test_one_worker_loads_no_process_pool():
+    """With AUCTIONAB_WORKERS=1, importing the package and running bounds
+    load neither multiprocessing nor concurrent.futures."""
+    script = (
+        "import sys, auctionab\n"
+        "print('exit', auctionab.cli_main('bounds --design 1 --n 32 --N 1000 --seed 0'.split()))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))\n")
+    env = {**os.environ, "AUCTIONAB_WORKERS": "1",
+           "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
+    lines = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env=env).stdout.splitlines()
+    assert lines[-2:] == ["exit 0", "[]"]
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     """The parser is built once per process: an estimate, a usage error and
     bounds, run in turn in this process, print the bytes and exit codes
