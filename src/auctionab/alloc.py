@@ -12,7 +12,9 @@ Marginal weights come in runs of equal value (the uniform stair is a single
 run), and a run of multi-unit terms sums to a binomial interval probability,
 so each rule is evaluated in O(runs) calls instead of O(n).  Binomial tails
 come from _ibeta, the regularized incomplete beta function at integer
-parameters, in numpy alone.  All evaluators accept scalars or numpy arrays
+parameters, in numpy alone: closed forms where a parameter is at most 2, and
+otherwise the finite sum of the binomial pmf terms, each point stopping once
+its terms no longer move its sum.  All evaluators accept scalars or numpy arrays
 and are pure functions.
 """
 from __future__ import annotations
@@ -81,15 +83,10 @@ def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
         return np.exp(e, out=np.empty_like(q))
 
 
-#: I_x(2, b) sums its pmf series where b x < _SERIES_ODDS (1 - x), the far
-#: tail in which 1 - (1-x)^b (1 + b x) would cancel; there each term is at
-#: most 1/24 of the one before, so _SERIES_TERMS terms leave < 1e-16 relative
-_SERIES_ODDS = 0.125
-_SERIES_TERMS = 12
-#: the continued fraction stops once a step moves it by at most this much
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
-_CF_MAXIT = 10_000
+#: I_x(2, b) sums its pmf terms where b x < _FAR_ODDS (1 - x), the far tail in
+#: which 1 - (1-x)^b (1 + b x) would cancel; _tail_sum stops a point once a
+#: term, tested every _TAIL_STRIDE terms, is at most _TAIL_RTOL of its sum
+_FAR_ODDS, _TAIL_RTOL, _TAIL_STRIDE = 0.125, 1e-17, 4
 
 
 def _ibeta(a: int, b: int, x: np.ndarray) -> np.ndarray:
@@ -100,8 +97,9 @@ def _ibeta(a: int, b: int, x: np.ndarray) -> np.ndarray:
     min(a, b) <= 2 has closed forms whose terms are all positive, so a small
     tail keeps its relative accuracy: I_x(a, 1) = x^a, I_x(1, b) = 1 - (1-x)^b
     through expm1, I_x(a, 2) = x^a (1 + a(1-x)), and I_x(2, b) =
-    1 - (1-x)^b (1 + b x) away from the far tail, where the pmf series from 2
-    up replaces it.  Larger a and b go to the continued fraction.
+    1 - (1-x)^b (1 + b x) away from the far tail.  That far tail and every
+    tail with a, b > 2 go to the finite pmf sum _tail_sum: I_x(a, b) below
+    the swap point (a+1)/(a+b+2), 1 - I_{1-x}(b, a) above it.
     """
     with np.errstate(divide="ignore", under="ignore"):
         if b == 1:
@@ -113,64 +111,42 @@ def _ibeta(a: int, b: int, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(-1)
         if a == 2:
             out = 1.0 - np.exp(b * np.log1p(-flat)) * (1.0 + b * flat)
-            far = np.flatnonzero(b * flat < _SERIES_ODDS * (1.0 - flat))
+            far = np.flatnonzero(b * flat < _FAR_ODDS * (1.0 - flat))
             if far.size:
-                out[far] = _pmf_series(b, flat[far])
+                out[far] = _tail_sum(2, b, flat[far])
         else:
             out = np.empty_like(flat)
             swap = flat >= (a + 1.0) / (a + b + 2.0)
-            out[~swap] = _ibeta_cf(a, b, flat[~swap])
-            out[swap] = 1.0 - _ibeta_cf(b, a, 1.0 - flat[swap])
+            out[~swap] = _tail_sum(a, b, flat[~swap])
+            out[swap] = 1.0 - _tail_sum(b, a, 1.0 - flat[swap])
     return out.reshape(x.shape)[()]
 
 
-def _pmf_series(b: int, x: np.ndarray) -> np.ndarray:
-    """I_x(2, b) = sum_{j>=2} P(Bin(b+1, x) = j), for b x < _SERIES_ODDS (1-x)."""
-    r = x / (1.0 - x)
-    term = b * (b + 1) / 2 * x * x * np.exp((b - 1) * np.log1p(-x))
-    total = term.copy()
-    for j in range(2, min(b + 1, _SERIES_TERMS + 2)):
-        term *= (b + 1 - j) / (j + 1) * r
-        total += term
-    return total
-
-
-def _ibeta_cf(a: int, b: int, x: np.ndarray) -> np.ndarray:
-    """I_x(a, b) for x < (a+1)/(a+b+2), where the continued fraction of
-    I_x(a, b) / (C(a+b-1, a) x^a (1-x)^b) converges fast; the fraction is
-    evaluated by the modified Lentz method, and each point leaves the loop
-    once it has converged.  The prefactor is formed in log space, with
-    log C(a+b-1, a) rounded once as in _binom_pmf; where it underflows to 0
-    the value is 0 and the fraction is not evaluated."""
-    out = np.exp(math.log(math.comb(a + b - 1, a)) + a * np.log(x) + b * np.log1p(-x))
+def _tail_sum(a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) = sum_{j=a}^{m} P(Bin(m, x) = j), m = a+b-1, for 1-d x below
+    (a+1)/(a+b), where the terms fall from j = a: the first is the log-space
+    pmf, 0 where it underflows, and each next one is the last times
+    (m-j)/(j+1) x/(1-x).  Finished points leave the arrays once they are
+    half of them; until then their terms, below half an ulp of their sums,
+    leave the sums unchanged, so no point depends on the others."""
+    m = a + b - 1
+    out = _binom_pmf(m, b - 1, x)
     live = np.flatnonzero(out)
-    xs = x[live]
-    c = np.ones_like(xs)
-    d = 1.0 / _lentz_floor(1.0 - (a + b) / (a + 1.0) * xs)
-    h = d.copy()
-    for m in range(1, _CF_MAXIT):
-        if not live.size:
-            return out
-        even = m * (b - m) / ((a - 1.0 + 2 * m) * (a + 2 * m))
-        odd = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 1.0 + 2 * m))
-        for coef in (even, odd):
-            aa = coef * xs
-            d = 1.0 / _lentz_floor(1.0 + aa * d)
-            c = _lentz_floor(1.0 + aa / c)
-            step = d * c
-            h *= step
-        done = np.abs(step - 1.0) <= _CF_EPS
-        if done.any():
-            out[live[done]] *= h[done]
-            keep = ~done
-            live, xs, c, d, h = live[keep], xs[keep], c[keep], d[keep], h[keep]
-    raise ArithmeticError(f"incomplete beta continued fraction did not converge at a={a}, b={b}")
-
-
-def _lentz_floor(v: np.ndarray) -> np.ndarray:
-    """v with entries of magnitude below _CF_TINY replaced by _CF_TINY."""
-    v[np.abs(v) < _CF_TINY] = _CF_TINY
-    return v
+    total = out[live]
+    term, r = total.copy(), x[live] / (1.0 - x[live])
+    for j in range(a, m):
+        term *= r
+        term *= (m - j) / (j + 1)
+        total += term
+        if (j - a) % _TAIL_STRIDE == _TAIL_STRIDE - 1:
+            done = term <= _TAIL_RTOL * total
+            if 2 * np.count_nonzero(done) >= done.size:
+                out[live[done]] = total[done]
+                live, total, term, r = (v[~done] for v in (live, total, term, r))
+                if not live.size:
+                    return out
+    out[live] = total
+    return out
 
 
 def _between(m: int, a: int, b: int, q: np.ndarray) -> np.ndarray:

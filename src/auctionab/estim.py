@@ -150,15 +150,6 @@ def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **
     )
 
 
-def estimate_revenue_allpay(
-    sample: BidSample, x: AllocationRule, y: AllocationRule, **meta
-) -> EstimateReport:
-    """estimate_revenue for a sample that must be all-pay."""
-    if sample.format != ALL_PAY:
-        raise ValueError("sample is not from an all-pay auction")
-    return estimate_revenue(sample, x, y, **meta)
-
-
 def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:
     """The revenue of each target in ys from one sample under source x: the
     points of estimate_revenue, bit for bit, with x evaluated once."""

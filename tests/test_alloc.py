@@ -165,6 +165,50 @@ class TestIncompleteBeta:
             assert abs(g - exact) <= 1e-12 * exact + 1e-300, (m, a, b, t)
 
 
+def _exact_ibeta(a: int, b: int, x: float) -> float:
+    """I_x(a, b) = sum_{j>=a} C(m, j) x^j (1-x)^(m-j), m = a+b-1, exactly:
+    with x = p/d, d^m less the sum of C(m, j) p^j (d-p)^(m-j) over j < a,
+    over d^m (in integers, so the short side of the sum serves)."""
+    m, (p, d) = a + b - 1, float(x).as_integer_ratio()
+    low = sum(comb(m, j) * p ** j * (d - p) ** (m - j) for j in range(a))
+    return float(Fraction(d ** m - low, d ** m))
+
+
+class TestTailSum:
+    """_ibeta wherever it sums the pmf terms (both parameters above 2, and
+    the far tail of I_x(2, b)), against the exact sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 60), st.integers(3, 60), st.data())
+    def test_matches_the_exact_sum(self, a, b, data):
+        swap = (a + 1) / (a + b + 2)
+        x = data.draw(st.floats(0.0, 1.0)
+                      | st.floats(-1e-3, 1e-3).map(lambda d: swap * (1.0 + d))
+                      | st.floats(-30.0, -1.0).map(lambda e: 10.0 ** e))
+        got, exact = _ibeta(a, b, np.array([x]))[0], _exact_ibeta(a, b, x)
+        assert abs(got - exact) <= 1e-12 * exact + 1e-300, (a, b, x)
+
+    @pytest.mark.parametrize("b", [6, 7, 30, 31, 1022])
+    def test_far_tail_edge_of_ibeta_2_b(self, b):
+        # b x = 0.125 (1 - x) at x = 0.125 / (b + 0.125); the sum takes the
+        # points below, the closed form 1 - (1-x)^b (1 + b x) those above
+        edge = 0.125 / (b + 0.125)
+        xs = [edge]
+        for _ in range(3):
+            xs = [np.nextafter(xs[0], 0.0)] + xs + [np.nextafter(xs[-1], 1.0)]
+        got = _ibeta(2, b, np.array(xs))
+        for g, x in zip(got, xs):
+            exact = _exact_ibeta(2, b, x)
+            assert abs(g - exact) <= 1e-12 * exact, (b, x)
+
+    @pytest.mark.parametrize("a, b", [(2, 30), (3, 30), (16, 16), (511, 512)])
+    def test_a_point_does_not_depend_on_the_others(self, a, b):
+        # points that finish early stay in the arrays until half are done
+        x = np.concatenate([np.linspace(0.0, 1.0, 201), np.geomspace(1e-6, 0.003, 50)])
+        alone = [_ibeta(a, b, x[i:i + 1])[0] for i in range(len(x))]
+        assert _ibeta(a, b, x).tolist() == alone
+
+
 class TestPositionWeights:
     def test_valid_construction(self):
         w = PositionWeights([1.0, 0.5, 0.0])

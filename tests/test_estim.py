@@ -141,13 +141,6 @@ class TestAllPayEstimator:
         assert e.quantile == 0.5
         assert str(e) == "source allocation slope vanishes at q=0.5"
 
-    def test_format_mismatch_rejected(self):
-        s = sample_bids(bid_curve(FIRST_PRICE, Uniform01(), uniform_stair(4), GRID), 100, 0)
-        from auctionab.estim import estimate_revenue_allpay
-
-        with pytest.raises(ValueError):
-            estimate_revenue_allpay(s, uniform_stair(4), uniform_stair(4))
-
 
 class TestFirstPriceEstimator:
     def test_weights_sum_to_target_mean_weight(self):
