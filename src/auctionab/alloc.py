@@ -140,11 +140,12 @@ def _tail_sum(a: int, b: int, x: np.ndarray) -> np.ndarray:
         total += term
         if (j - a) % _TAIL_STRIDE == _TAIL_STRIDE - 1:
             done = term <= _TAIL_RTOL * total
-            if 2 * np.count_nonzero(done) >= done.size:
+            finished = np.count_nonzero(done)
+            if finished == done.size:
+                break
+            if 2 * finished >= done.size:
                 out[live[done]] = total[done]
                 live, total, term, r = (v[~done] for v in (live, total, term, r))
-                if not live.size:
-                    return out
     out[live] = total
     return out
 
