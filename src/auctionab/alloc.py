@@ -83,10 +83,12 @@ def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
         return np.exp(e, out=np.empty_like(q))
 
 
-#: I_x(2, b) sums its pmf terms where b x < _FAR_ODDS (1 - x), the far tail in
-#: which 1 - (1-x)^b (1 + b x) would cancel; _tail_sum stops a point once a
-#: term, tested every _TAIL_STRIDE terms, is at most _TAIL_RTOL of its sum
-_FAR_ODDS, _TAIL_RTOL, _TAIL_STRIDE = 0.125, 1e-17, 4
+#: I_x(2, b) sums its pmf terms where b x < _FAR_ODDS (1 - x), the far tail
+#: in which 1 - (1-x)^b (1 + b x) would cancel
+_FAR_ODDS = 0.125
+#: _tail_sum stops a point once a term, tested every _TAIL_STRIDE terms, is
+#: at most _TAIL_RTOL of its sum
+_TAIL_RTOL, _TAIL_STRIDE = 1e-17, 4
 
 
 def _ibeta(a: int, b: int, x: np.ndarray) -> np.ndarray:
