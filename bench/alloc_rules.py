@@ -37,12 +37,8 @@ each beside the baseline with the same two comparisons.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import auctionab as ab  # noqa: E402
-from estim_kernels import provenance  # noqa: E402
+from estim_kernels import describe, load_package, medians, provenance  # noqa: E402
 
 NS = (32, 256, 1024)
 EVALUATORS = ("x", "xprime", "xint")
@@ -59,17 +55,6 @@ FAR_TAIL_PAIRS = ((2, 6), (2, 7), (2, 30), (2, 31))
 MID_RANGE_PAIRS = ((16, 16), (500, 523), (3, 30), (30, 3), (100, 156), (511, 512), (2048, 2048))
 #: values below this are compared with the baseline's in absolute terms only
 REL_FLOOR = 1e-270
-
-
-def load_package(src: Path):
-    """The auctionab package under src, imported as auctionab_baseline."""
-    init = src / "auctionab" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        "auctionab_baseline", init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def builders(pkg, n: int, distinct: np.ndarray) -> dict:
@@ -82,17 +67,6 @@ def builders(pkg, n: int, distinct: np.ndarray) -> dict:
     cases["universal-b"] = lambda: pkg.Position(pkg.universal_b(n))
     cases["distinct"] = lambda: pkg.Position(pkg.PositionWeights(distinct))
     return cases
-
-
-def medians(calls, repeats: int, scale: float) -> list[float]:
-    """Median time of each call, the calls taking turns, in 1/scale s."""
-    times = [[] for _ in calls]
-    for _ in range(repeats):
-        for t, call in zip(times, calls):
-            start = time.perf_counter()
-            call()
-            t.append(time.perf_counter() - start)
-    return [scale * statistics.median(t) for t in times]
 
 
 def compare(this: list, base: list) -> dict:
@@ -124,14 +98,6 @@ def ibeta_cases(pkgs: dict, q: np.ndarray, args) -> list[dict]:
               + (f"  same={case['same']} max_rel_diff={case['max_rel_diff']:.1e}"
                  if "same" in case else ""), flush=True)
     return cases
-
-
-def describe(repo: Path) -> str:
-    try:
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=repo,
-                              capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> int:

@@ -31,7 +31,6 @@ from .dist import (
     ValueDistribution,
     expected_value,
     make_distribution,
-    order_statistic_means,
     true_revenue,
     true_welfare,
 )
@@ -57,8 +56,6 @@ from .estim import (
     estimate_revenue,
     estimate_revenues,
     estimate_welfare,
-    firstprice_weights,
-    revenue_weights,
 )
 from .bounds import (
     BoundInputs,

@@ -3,8 +3,8 @@ revenue/welfare oracles.
 
 The quantile q of a value v is F(v); the value function v(q) = F^{-1}(q) and
 the revenue curve R(q) = v(q) (1 - q) carry everything the estimators need.
-Ground truths are computed by trapezoidal quadrature on a uniform grid and,
-independently, by brute-force Monte Carlo over order statistics.
+Ground truths, revenue and welfare alike, are computed by trapezoidal
+quadrature on a uniform grid.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import AllocationRule
+from .alloc import AllocationRule, Position, PositionWeights
 
 
 @dataclass(frozen=True)
@@ -166,43 +166,9 @@ def expected_value(dist: ValueDistribution, grid: QuantileGrid = DEFAULT_GRID) -
     return float(np.trapezoid(dist.v(q), q))
 
 
-def order_statistic_stats(
-    dist: ValueDistribution, n: int, trials: int = 100_000, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo means and standard errors of the k-th highest of n values,
-    k = 1..n.  Deterministic given (seed, trials)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    means = np.zeros(n)
-    m2 = np.zeros(n)
-    count = 0
-    chunk = max(1, min(trials, 20_000_000 // max(n, 1)))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        vals = dist.v(rng.random((take, n)))
-        vals = -np.sort(-vals, axis=1)  # descending: column k-1 is k-th highest
-        means += take * vals.mean(axis=0)
-        m2 += take * (vals**2).mean(axis=0)
-        count += take
-        done += take
-    means /= count
-    var = np.maximum(m2 / count - means**2, 0.0)
-    return means, np.sqrt(var / count)
-
-
-def order_statistic_means(
-    dist: ValueDistribution, n: int, trials: int = 100_000, seed: int = 0
-) -> np.ndarray:
-    """E[v_(k)] for k = 1..n (1 = highest), by Monte Carlo."""
-    return order_statistic_stats(dist, n, trials, seed)[0]
-
-
-def true_welfare(dist: ValueDistribution, w, trials: int = 200_000, seed: int = 0) -> tuple[float, float]:
+def true_welfare(dist: ValueDistribution, w: PositionWeights, grid: QuantileGrid = DEFAULT_GRID) -> float:
     """Per-agent social welfare (1/n) sum_k w_k E[v_(k)] of the position
-    auction with weights w, with its Monte Carlo standard error."""
-    means, ses = order_statistic_stats(dist, w.n, trials, seed)
-    sw = float(np.dot(w.w, means) / w.n)
-    se = float(np.sqrt(np.dot(w.w**2, ses**2)) / w.n)
-    return sw, se
+    auction with weights w: E_q[v(q) x_w(q)], x_w the rule that serves the
+    agent at quantile q, by trapezoidal quadrature."""
+    q = grid.q
+    return float(np.trapezoid(dist.v(q) * Position(w).x(q), q))

@@ -7,13 +7,15 @@ K_i (b_{i+1} - b_i), with b_0 = b_{N+1} = 0.  Only the edges where the bids
 change enter it, so the rules are evaluated there alone.  With source x and
 target y, K is Z = (1-q) y'/x' for all-pay revenue, -F for first-price
 revenue (F = (1-q) y + int_0^q y - x Z, whose increments integrate -x Z'
-exactly over each bid's cell), and 1/x' for the all-pay expected value,
-whose boundary terms cancel.  Gathered per bid, the sum is the weight form
-sum_i (K_{i-1} - K_i) b_i that the Monte Carlo trials use; where 1/x' spans
-many decades that form cancels to rounding noise on tied bids.
+exactly over each bid's cell), and y/x' for the all-pay welfare of
+position rule y (SourceGrid.welfare_kernel), which for the rule that serves
+every agent, y = 1, is the expected value.  Gathered per bid, the sum is
+the weight form sum_i (K_{i-1} - K_i) b_i that the Monte Carlo trials use;
+where 1/x' spans many decades that form cancels to rounding noise on tied
+bids.
 
 DegenerateSourceError is raised only at an edge the estimate uses, where x'
-vanishes and the target's slope does not, so a source that is flat only
+vanishes and the kernel's numerator does not, so a source that is flat only
 where the bids tie estimates without error.
 """
 from __future__ import annotations
@@ -77,38 +79,54 @@ class SourceGrid:
         if fmt not in (ALL_PAY, FIRST_PRICE):
             raise ValueError(f"unknown payment format {fmt!r}")
         self.fmt = fmt
+        self.n = x.n
         self.q = (np.arange(N + 1) if edges is None else edges) / N
         self.qe = np.clip(self.q, 0.5 / N, 1.0 - 0.5 / N)
         self.xp = x.xprime(self.qe)
         self.flat = np.abs(self.xp) <= TINY_SLOPE
         self.xq = x.x(self.q) if fmt == FIRST_PRICE else None
 
-    def kernel(self, y: AllocationRule) -> np.ndarray:
-        """y's revenue kernel at the edges.  All-pay: Z = (1-q) y'/x'.
-        First-price: -F, F = (1-q)(y - x y'/x') + int_0^q y."""
-        # y'/x', 0 where both slopes vanish; exactly 1 when y is x (exact self-estimation)
-        yp = y.xprime(self.qe)
-        bad = self.flat & (np.abs(yp) > TINY_SLOPE)
+    def _check_agents(self, y: AllocationRule) -> None:
+        if y.n != self.n:
+            raise ValueError(f"target rule has {y.n} agents, the source rule {self.n}")
+
+    def _over_slope(self, num: np.ndarray) -> np.ndarray:
+        """num/x' at the edges, 0 where both vanish."""
+        bad = self.flat & (np.abs(num) > TINY_SLOPE)
         if np.any(bad):
             raise DegenerateSourceError(float(self.qe[np.argmax(bad)]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.flat, 0.0, yp / np.where(self.flat, 1.0, self.xp))
+            return np.where(self.flat, 0.0, num / np.where(self.flat, 1.0, self.xp))
+
+    def kernel(self, y: AllocationRule) -> np.ndarray:
+        """y's revenue kernel at the edges.  All-pay: Z = (1-q) y'/x'.
+        First-price: -F, F = (1-q)(y - x y'/x') + int_0^q y."""
+        self._check_agents(y)
+        # y'/x', exactly 1 when y is x (exact self-estimation)
+        r = self._over_slope(y.xprime(self.qe))
         q = self.q
         if self.fmt == ALL_PAY:
             return (1.0 - q) * r
         return -((1.0 - q) * (y.x(q) - self.xq * r) + y.xint(q))
 
-    def value_kernel(self) -> np.ndarray:
-        """The expected-value kernel of an all-pay sample: 1/x' on the
-        interior edges, 0 at q = 0 and 1."""
+    def welfare_kernel(self, y: AllocationRule) -> np.ndarray:
+        """y's welfare kernel on an all-pay sample: y/x' on the interior
+        edges, -(w_1 - y)/((1-q) x') at q = 0 and 0 at q = 1, with y and x'
+        at the clamped q and w_1 y's first position weight.
+
+        It is w_1 V - sum_k (w_1 - w_{k+1})/k Z_k, the expected-value kernel
+        V = 1/x' less the revenue kernels Z_k of the k-unit rules, summed in
+        closed form: (1-q) x_k'/k = P(C = k) with C ~ Bin(n-1, 1-q), so
+        sum_k (w_1 - w_{k+1})/k (1-q) x_k' = w_1 - y.  Every weight 1 gives
+        the expected-value kernel itself.
+        """
         if self.fmt != ALL_PAY:
-            raise ValueError("expected-value estimation needs an all-pay sample")
-        inner = (self.q > 0.0) & (self.q < 1.0)
-        bad = self.flat & inner
-        if np.any(bad):
-            raise DegenerateSourceError(float(self.qe[np.argmax(bad)]))
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(inner, 1.0 / self.xp, 0.0)
+            raise ValueError("welfare and expected-value estimation need an all-pay sample")
+        self._check_agents(y)
+        q, yq = self.q, y.x(self.qe)
+        num = np.where(q == 0.0, (yq - y.weights.w[0]) / (1.0 - self.qe),
+                       np.where(q == 1.0, 0.0, yq))
+        return self._over_slope(num)
 
     def weights(self, y: AllocationRule) -> np.ndarray:
         """The N weights K_{i-1} - K_i of the full grid, whose dot product
@@ -117,27 +135,15 @@ class SourceGrid:
         return K[:-1] - K[1:]
 
 
-def revenue_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
-    """The N summation-by-parts weights applied to the sorted all-pay bids."""
-    return SourceGrid(ALL_PAY, x, N).weights(y)
-
-
-def firstprice_weights(x: AllocationRule, y: AllocationRule, N: int) -> np.ndarray:
-    """The N weights applied to the sorted first-price bids."""
-    return SourceGrid(FIRST_PRICE, x, N).weights(y)
-
-
 def _bid_steps(sample: BidSample, x: AllocationRule) -> tuple[SourceGrid, np.ndarray]:
     """x on the edges where the sorted bids, with a 0 before and after,
     change, and those changes b_{i+1} - b_i: a kernel dotted with them is
     the estimate."""
+    if x.n != sample.n:
+        raise ValueError(f"source rule has {x.n} agents, the bid sample's rule {sample.n}")
     steps = np.diff(sample.bids, prepend=0.0, append=0.0)
     edges = np.flatnonzero(steps)
     return SourceGrid(sample.format, x, sample.size, edges), steps[edges]
-
-
-def _revenues(grid: SourceGrid, steps: np.ndarray, ys) -> np.ndarray:
-    return np.array([float(grid.kernel(y) @ steps) for y in ys])
 
 
 def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
@@ -153,7 +159,8 @@ def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **
 def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:
     """The revenue of each target in ys from one sample under source x: the
     points of estimate_revenue, bit for bit, with x evaluated once."""
-    return _revenues(*_bid_steps(sample, x), ys)
+    grid, steps = _bid_steps(sample, x)
+    return np.array([float(grid.kernel(y) @ steps) for y in ys])
 
 
 def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndarray:
@@ -163,30 +170,22 @@ def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndar
 
 
 def estimate_expected_value(sample: BidSample, x: AllocationRule, **meta) -> EstimateReport:
-    """Mean agent value from all-pay bids (SourceGrid.value_kernel)."""
+    """Mean agent value from all-pay bids: the welfare of serving every
+    agent (SourceGrid.welfare_kernel)."""
     grid, steps = _bid_steps(sample, x)
     return EstimateReport(
-        float(grid.value_kernel() @ steps),
+        float(grid.welfare_kernel(MultiUnit(x.n, x.n)) @ steps),
         meta={"format": ALL_PAY, "n": x.n, "N": sample.size, "source": x.describe(), **meta},
     )
 
 
 def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights, **meta) -> EstimateReport:
-    """Per-agent social welfare of the position auction with weights w:
-
-        SW = w_1 vbar - sum_{k=1}^{n-1} (w_1 - w_{k+1}) P_k / k
-
-    composed from the expected-value estimate and the n-1 multi-unit
-    revenue estimates, their kernels all taken on one grid of the edges
-    where the bids change.
-    """
+    """Per-agent social welfare of the position auction with weights w from
+    all-pay bids (SourceGrid.welfare_kernel)."""
+    y = Position(w)
     grid, steps = _bid_steps(sample, x)
-    vbar = float(grid.value_kernel() @ steps)
-    pk = _revenues(grid, steps, [MultiUnit(k, x.n) for k in range(1, x.n)])
-    k = np.arange(1, w.n)
-    point = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * pk / k))
     return EstimateReport(
-        point,
+        float(grid.welfare_kernel(y) @ steps),
         meta={"format": sample.format, "n": x.n, "N": sample.size,
-              "source": x.describe(), "target": Position(w).describe(), **meta},
+              "source": x.describe(), "target": y.describe(), **meta},
     )

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from auctionab.alloc import MultiUnit, Position, PositionWeights, marginal_weights, uniform_stair
+from auctionab.alloc import (
+    MultiUnit,
+    Position,
+    PositionWeights,
+    marginal_weights,
+    uniform_stair,
+    uniform_stair_weights,
+)
 from auctionab.dist import (
     Beta22,
     QuantileGrid,
@@ -9,8 +16,6 @@ from auctionab.dist import (
     Uniform01,
     expected_value,
     make_distribution,
-    order_statistic_means,
-    order_statistic_stats,
     true_revenue,
     true_revenue_alt,
     true_welfare,
@@ -122,6 +127,13 @@ class TestTrueRevenue:
                 b = true_revenue_alt(d, rule, GRID)
                 assert abs(a - b) <= 1e-4
 
+    def test_multi_unit_uniform_closed_form(self):
+        # n P_k = k E[(k+1)-th highest of n uniform values] = k (n-k)/(n+1)
+        for n in (3, 5, 6):
+            for k in range(1, n):
+                assert true_revenue(Uniform01(), MultiUnit(k, n), GRID) == pytest.approx(
+                    k * (n - k) / (n * (n + 1)), abs=1e-8)
+
     def test_revenue_equivalence_decomposition(self):
         d = Beta22()
         w = PositionWeights([0.9, 0.7, 0.4, 0.1])
@@ -131,43 +143,24 @@ class TestTrueRevenue:
         assert direct == pytest.approx(parts, abs=1e-6)
 
 
-class TestOrderStatistics:
-    def test_uniform_n2(self):
-        means = order_statistic_means(Uniform01(), 2, trials=100_000, seed=1)
-        np.testing.assert_allclose(means, [2 / 3, 1 / 3], atol=3e-3)
-
-    def test_uniform_n3(self):
-        means = order_statistic_means(Uniform01(), 3, trials=100_000, seed=1)
-        np.testing.assert_allclose(means, [3 / 4, 2 / 4, 1 / 4], atol=3e-3)
-
-    def test_constant_distribution(self):
-        d = TabulatedQuantile([0.0, 1.0], [0.7, 0.7])
-        means = order_statistic_means(d, 4, trials=10_000, seed=0)
-        np.testing.assert_allclose(means, 0.7, atol=1e-12)
-
-    def test_deterministic_given_seed(self):
-        a = order_statistic_means(Beta22(), 5, trials=20_000, seed=9)
-        b = order_statistic_means(Beta22(), 5, trials=20_000, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_revenue_order_statistic_identity(self):
-        # n * P_k = k * E[(k+1)-th highest value], for k < n
-        d = Beta22()
-        for n in (3, 5, 6):
-            means, ses = order_statistic_stats(d, n, trials=200_000, seed=4)
-            for k in range(1, n):
-                lhs = n * true_revenue(d, MultiUnit(k, n), GRID)
-                rhs = k * means[k]  # index k = (k+1)-th highest
-                assert abs(lhs - rhs) <= 3 * k * ses[k] + 1e-4
-
-
 class TestTrueWelfare:
+    @pytest.mark.parametrize("n", [8, 256, 1024])
+    def test_uniform_stair_beta22_eleven_35ths(self, n):
+        # x(q) = q, so the welfare is E[v q] = int_0^1 v (3v^2 - 2v^3) 6v(1-v) dv
+        assert true_welfare(Beta22(), uniform_stair_weights(n), GRID) == pytest.approx(11 / 35, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_uniform_order_statistic_means(self, n):
+        # the k-th highest of n uniform values has mean (n+1-k)/(n+1)
+        w = np.sort(np.random.default_rng(n).random(n))[::-1]
+        k = np.arange(1, n + 1)
+        want = np.sum(w * (n + 1 - k) / (n + 1)) / n
+        assert true_welfare(Uniform01(), PositionWeights(w), GRID) == pytest.approx(want, abs=1e-8)
+
     def test_serve_everyone_equals_mean_value(self):
         w = PositionWeights([1.0, 1.0, 1.0])
-        sw, se = true_welfare(Uniform01(), w, trials=100_000, seed=2)
-        assert sw == pytest.approx(0.5, abs=3 * se + 1e-3)
+        assert true_welfare(Uniform01(), w, GRID) == pytest.approx(0.5, abs=1e-12)
 
     def test_one_unit_two_uniform_agents(self):
         w = PositionWeights([1.0, 0.0])
-        sw, se = true_welfare(Uniform01(), w, trials=200_000, seed=2)
-        assert sw == pytest.approx(1 / 3, abs=3 * se + 1e-3)
+        assert true_welfare(Uniform01(), w, GRID) == pytest.approx(1 / 3, abs=1e-8)

@@ -18,6 +18,7 @@ from auctionab.alloc import (
 )
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, expected_value, true_revenue
 from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, allpay_bid_curve, bid_curve, sample_bids
+from auctionab.harness import trial_estimates
 from auctionab.estim import (
     DegenerateSourceError,
     EstimateReport,
@@ -27,8 +28,6 @@ from auctionab.estim import (
     estimate_revenue,
     estimate_revenues,
     estimate_welfare,
-    firstprice_weights,
-    revenue_weights,
 )
 
 GRID = QuantileGrid(10_000)
@@ -46,7 +45,7 @@ class TestExactIdentities:
             assert abs(est - s.bids.mean()) <= 1e-12
 
     def test_weights_sum_to_one_for_self(self):
-        w = revenue_weights(uniform_stair(8), uniform_stair(8), 100)
+        w = SourceGrid(ALL_PAY, uniform_stair(8), 100).weights(uniform_stair(8))
         np.testing.assert_allclose(w, 1 / 100, atol=1e-15)
 
     def test_linearity_in_target(self):
@@ -126,6 +125,15 @@ class TestAllPayEstimator:
             estimate_revenue(s, x, y)
         assert exc.value.quantile == 0.02
 
+    def test_flat_edge_raises_where_the_welfare_target_serves(self):
+        # x' is 0 at q = 0.02, the first edge the bids use: the uniform stair
+        # serves there (y = q), while the one-unit rule's y = q^199 is 0
+        x = MultiUnit(1, 200)
+        s = BidSample(ALL_PAY, x, np.concatenate([np.zeros(2), np.linspace(0.1, 0.5, 98)]))
+        with pytest.raises(DegenerateSourceError, match=r"q=0\.02$"):
+            estimate_welfare(s, x, uniform_stair_weights(200))
+        assert np.isfinite(estimate_welfare(s, x, x.weights).point)
+
     def test_expected_value_never_uses_the_ends(self):
         # at N = 20 only edge 0 (clamped to q = 0.025) is flat: revenue uses
         # it through b_1 > 0, while the expected value's boundary terms cancel
@@ -150,13 +158,13 @@ class TestFirstPriceEstimator:
             x = mixture(uniform_stair(n), MultiUnit(1, n), 0.001)
             for y, mean_w in ((MultiUnit(1, n), 1 / n), (uniform_stair(n), 0.5),
                               (MultiUnit(n // 2, n), 0.5)):
-                assert abs(firstprice_weights(x, y, 1000).sum() - mean_w) <= 1e-12
+                assert abs(SourceGrid(FIRST_PRICE, x, 1000).weights(y).sum() - mean_w) <= 1e-12
 
     def test_self_weights_integrate_the_rule(self):
         # with y = x, F is the integral of x, so each weight is x's cell mass
         x = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5)
         q = np.arange(501) / 500
-        np.testing.assert_allclose(firstprice_weights(x, x, 500), np.diff(x.xint(q)),
+        np.testing.assert_allclose(SourceGrid(FIRST_PRICE, x, 500).weights(x), np.diff(x.xint(q)),
                                    rtol=0.0, atol=1e-15)
 
     def test_recovers_truth_design3(self):
@@ -214,7 +222,8 @@ def multi_target_cases(draw):
 
 class TestMultiTarget:
     """Multi-target estimators evaluate the source once and must give
-    exactly the loop of single-target estimates."""
+    exactly the loop of single-target estimates; welfare, one kernel, must
+    give the composition of n-1 multi-unit revenues to rounding."""
 
     @settings(max_examples=60, deadline=None)
     @given(multi_target_cases(), st.floats(0.25, 4.0))
@@ -230,11 +239,19 @@ class TestMultiTarget:
         pk = [estimate_revenue(s, x, y).point for y in units]
         assert estimate_multiunit_revenues(s, x).tolist() == pk
         if s.format == ALL_PAY:
+            # SW = w_1 vbar - sum_k (w_1 - w_{k+1}) P_k / k, each term summed
+            # by parts on the full grid of edges
             w = ys[0].weights
             vbar = estimate_expected_value(s, x).point
-            k = np.arange(1, w.n)
-            want = float(w.w[0] * vbar - np.sum((w.w[0] - w.w[1:]) * np.array(pk) / k))
-            assert estimate_welfare(s, x, w).point == want
+            c = (w.w[0] - w.w[1:]) / np.arange(1, w.n)
+            want = float(w.w[0] * vbar - np.sum(c * np.array(pk)))
+            grid = SourceGrid(ALL_PAY, x, s.size)
+            steps = np.abs(np.diff(s.bids, prepend=0.0, append=0.0))
+            value = np.where((grid.q > 0.0) & (grid.q < 1.0), 1.0 / grid.xp, 0.0)
+            scale = steps @ (w.w[0] * np.abs(value)
+                             + sum(abs(ck) * np.abs(grid.kernel(u)) for ck, u in zip(c, units)))
+            assert abs(estimate_welfare(s, x, w).point - want) <= 1e-12 * scale
+            assert estimate_welfare(s, x, MultiUnit(x.n, x.n).weights).point == vbar
 
 
 class TestIncrementForm:
@@ -268,8 +285,11 @@ class TestIncrementForm:
             z = 1.0 / grid.xp
             terms = np.concatenate([(z[:-1] - z[1:]) * bids, [z[-1] * bids[-1], -z[0] * bids[0]]])
             assert abs(estimate_expected_value(s, x).point - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+            # serving every agent, the welfare kernel is 1/x' inside, 0 at the ends
+            inner = (grid.q > 0.0) & (grid.q < 1.0)
+            np.testing.assert_array_equal(grid.welfare_kernel(MultiUnit(n, n)), np.where(inner, z, 0.0))
 
-    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("n", [128, 256, 1024])
     def test_flat_source_value_and_welfare_bounded(self, n):
         # x' of one-unit + 10% universal-B spans up to 74 decades here; in
         # weight form E[v] and welfare cancel to rounding noise (E[v] was
@@ -312,9 +332,7 @@ class TestWelfare:
         w = PositionWeights([1.0, 1.0, 1.0, 1.0])
         x = Position(universal_b(4))
         s = allpay_sample(Beta22(), x, 5000, 6)
-        sw = estimate_welfare(s, x, w).point
-        vbar = estimate_expected_value(s, x).point
-        assert sw == pytest.approx(vbar, abs=1e-12)
+        assert estimate_welfare(s, x, w).point == estimate_expected_value(s, x).point
 
     def test_one_unit_two_uniform_agents(self):
         w = PositionWeights([1.0, 0.0])
@@ -325,6 +343,41 @@ class TestWelfare:
              for t in range(30)]
         )
         assert sw == pytest.approx(1 / 3, abs=3e-3)
+
+
+class TestAgentCounts:
+    """A target or a bid sample for another number of agents than the
+    source rule is rejected by every entry point."""
+
+    X = Position(universal_b(8))
+    SAMPLE = BidSample(ALL_PAY, X, np.linspace(0.1, 0.5, 50))
+    OTHER = MultiUnit(2, 4)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x, y: estimate_revenue(s, x, y),
+        lambda s, x, y: estimate_revenues(s, x, (MultiUnit(1, 8), y)),
+        lambda s, x, y: best_of_r(s, x, (MultiUnit(1, 8), y)),
+        lambda s, x, y: compare_revenues(s, x, MultiUnit(1, 8), y),
+        lambda s, x, y: estimate_welfare(s, x, y.weights),
+        lambda s, x, y: estimate_welfare(s, x, PositionWeights([1.0, 0.0])),
+        lambda s, x, y: SourceGrid(ALL_PAY, x, 50).weights(y),
+        lambda s, x, y: trial_estimates(allpay_bid_curve(Uniform01(), x, GRID), x, (y,), 50, 0, 2),
+    ], ids=["estimate_revenue", "estimate_revenues", "best_of_r", "compare_revenues",
+            "estimate_welfare", "estimate_welfare_two_weights", "weights", "trial_estimates"])
+    def test_target_for_other_agent_count_rejected(self, call):
+        with pytest.raises(ValueError, match="target rule has"):
+            call(self.SAMPLE, self.X, self.OTHER)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x: estimate_revenue(s, x, x),
+        lambda s, x: estimate_multiunit_revenues(s, x),
+        lambda s, x: estimate_expected_value(s, x),
+        lambda s, x: estimate_welfare(s, x, x.weights),
+    ], ids=["estimate_revenue", "estimate_multiunit_revenues", "estimate_expected_value",
+            "estimate_welfare"])
+    def test_sample_for_other_agent_count_rejected(self, call):
+        with pytest.raises(ValueError, match="bid sample's rule"):
+            call(self.SAMPLE, self.OTHER)
 
 
 class TestEstimateReport:
