@@ -47,7 +47,8 @@ class BoundInputs:
         q = np.clip(np.linspace(0.0, 1.0, SLOPE_GRID), 0.5 / N, 1.0 - 0.5 / N)
         yp = y.xprime(q)
         xp = x.xprime(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a tiny positive slope overflows the ratio to inf, which the bound carries
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             down = np.where(xp > 0, yp / np.where(xp > 0, xp, 1.0), np.inf)
             up_mask = yp >= 1.0
             up = float(np.max(xp[up_mask] / yp[up_mask])) if np.any(up_mask) else 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .bounds import (
     normalized_table_bound,
 )
 from .dist import QuantileGrid, make_distribution, true_revenue
-from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv
+from .equil import ALL_PAY, FIRST_PRICE, bid_curve, check_sidecar, read_bid_csv
 from .estim import DegenerateSourceError, estimate_revenue
 from .harness import (
     CSV_HEADER,
@@ -112,9 +113,14 @@ def cmd_sweep(args) -> list[str]:
 def cmd_estimate(args) -> list[str]:
     source = parse_rule(args.source, args.n)
     target = parse_rule(args.target, args.n)
+    warning = check_sidecar(args.bids, args.format, source)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     sample = read_bid_csv(args.bids, args.format, source)
     report = estimate_revenue(sample, source, target, seed=args.seed)
     bound = bound_general_y(BoundInputs.from_rules(source, target, sample.size))
+    if not (math.isfinite(report.point) and math.isfinite(bound)):
+        raise ValueError(f"the estimate {report.point:.10g} or its bound {bound:.10g} is not finite")
     return ["# auctionab-estimate-v1", "design,format,n,N,eps,seed,estimate,truth,abs_error,bound",
             dataclasses.replace(report, bound=bound).csv_row()]
 

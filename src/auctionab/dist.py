@@ -8,6 +8,7 @@ quadrature on a uniform grid.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ class QuantileGrid:
 DEFAULT_GRID = QuantileGrid(10_000)
 
 
+def _revenue(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R(q) = v(q)(1-q) from the values v at q; R(0) = R(1) = 0 by convention."""
+    return np.where((q == 0.0) | (q == 1.0), 0.0, v * (1.0 - q))
+
+
 class ValueDistribution:
     """Value distribution on [0, 1] presented through its quantile function."""
 
@@ -47,14 +53,14 @@ class ValueDistribution:
     def revenue(self, q):
         """R(q) = v(q)(1-q); R(0) = R(1) = 0 by convention."""
         q = np.asarray(q, dtype=float)
-        r = self.v(q) * (1.0 - q)
-        return np.where((q == 0.0) | (q == 1.0), 0.0, r)
+        return _revenue(q, self.v(q))
 
     def rprime(self, q):
         q = np.asarray(q, dtype=float)
         return self.vprime(q) * (1.0 - q) - self.v(q)
 
 
+@dataclass(frozen=True)
 class Uniform01(ValueDistribution):
     name = "uniform"
 
@@ -65,6 +71,7 @@ class Uniform01(ValueDistribution):
         return np.ones_like(np.asarray(q, dtype=float))
 
 
+@dataclass(frozen=True)
 class Beta22(ValueDistribution):
     """Beta(2, 2) values: density f(v) = 6v(1-v), CDF F(v) = 3v^2 - 2v^3.
 
@@ -138,6 +145,17 @@ class TabulatedQuantile(ValueDistribution):
         return cls(data[:, 0], data[:, 1])
 
 
+@functools.lru_cache(maxsize=8)
+def grid_values(dist: ValueDistribution, grid: QuantileGrid) -> np.ndarray:
+    """v on the grid's points, read-only.  Each distribution and grid is
+    evaluated once: Uniform01 and Beta22 hold no state and compare equal, so
+    the Monte Carlo cells share one evaluation, for the bid curve and the
+    oracle alike."""
+    v = dist.v(grid.q)
+    v.setflags(write=False)
+    return v
+
+
 def make_distribution(name: str) -> ValueDistribution:
     name = name.strip().lower()
     if name in ("uniform", "uniform01"):
@@ -151,7 +169,7 @@ def true_revenue(dist: ValueDistribution, rule: AllocationRule, grid: QuantileGr
     """Per-agent equilibrium revenue E_q[R(q) x'(q)] by trapezoidal
     quadrature; this is the oracle every estimator is judged against."""
     q = grid.q
-    return float(np.trapezoid(dist.revenue(q) * rule.xprime(q), q))
+    return float(np.trapezoid(_revenue(q, grid_values(dist, grid)) * rule.xprime(q), q))
 
 
 def true_revenue_alt(dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID) -> float:
@@ -163,7 +181,7 @@ def true_revenue_alt(dist: ValueDistribution, rule: AllocationRule, grid: Quanti
 
 def expected_value(dist: ValueDistribution, grid: QuantileGrid = DEFAULT_GRID) -> float:
     q = grid.q
-    return float(np.trapezoid(dist.v(q), q))
+    return float(np.trapezoid(grid_values(dist, grid), q))
 
 
 def true_welfare(dist: ValueDistribution, w: PositionWeights, grid: QuantileGrid = DEFAULT_GRID) -> float:
@@ -171,4 +189,4 @@ def true_welfare(dist: ValueDistribution, w: PositionWeights, grid: QuantileGrid
     auction with weights w: E_q[v(q) x_w(q)], x_w the rule that serves the
     agent at quantile q, by trapezoidal quadrature."""
     q = grid.q
-    return float(np.trapezoid(dist.v(q) * Position(w).x(q), q))
+    return float(np.trapezoid(grid_values(dist, grid) * Position(w).x(q), q))

@@ -13,14 +13,16 @@ discrete one the estimators assume.
 from __future__ import annotations
 
 import json
+import re
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .alloc import AllocationRule, DegenerateRuleError, read_only
-from .dist import DEFAULT_GRID, QuantileGrid, ValueDistribution
+from .dist import DEFAULT_GRID, QuantileGrid, ValueDistribution, grid_values
 
 ALL_PAY = "allpay"
 FIRST_PRICE = "firstprice"
@@ -137,7 +139,7 @@ def allpay_bid_curve(
     dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
 ) -> BidCurve:
     q = grid.q
-    b = _cumulative_trapezoid(dist.v(q) * rule.xprime(q), q)
+    b = _cumulative_trapezoid(grid_values(dist, grid) * rule.xprime(q), q)
     return BidCurve(ALL_PAY, rule, grid, b)
 
 
@@ -145,7 +147,7 @@ def firstprice_bid_curve(
     dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
 ) -> BidCurve:
     q = grid.q
-    num = _cumulative_trapezoid(dist.v(q) * rule.xprime(q), q)
+    num = _cumulative_trapezoid(grid_values(dist, grid) * rule.xprime(q), q)
     xq = rule.x(q)
     dead = xq < EPS_ALLOC
     if np.any(dead & (q > 0.5)):
@@ -216,35 +218,110 @@ def empirical_bid_function(sample: BidSample, q):
     return sample.bids[idx]
 
 
+def _weights_text(rule: AllocationRule) -> str:
+    """The rule's position weights as a sidecar records them: %.17g, comma
+    separated, so equal text means equal bits (and --source accepts it)."""
+    return ",".join("%.17g" % v for v in rule.weights.w)
+
+
 def write_bid_csv(sample: BidSample, csv_path) -> None:
-    """One-column CSV with header 'bid' plus a JSON sidecar beside it (the
-    same name with suffix .json) recording the payment format, agent count,
-    and generating rule."""
+    """One-column CSV with header 'bid', plus two files beside it under the
+    same name: a .npy copy of the float64 bids, and a JSON sidecar (suffix
+    .json) recording the payment format, agent count, generating rule and
+    its position weights, the sample size N, the CSV's byte length and
+    CRC-32, and the CRC-32 of the copy's payload.  read_bid_csv loads the
+    copy only while the sidecar vouches for both files."""
     csv_path = Path(csv_path)
-    bids = sample.bids
+    side, npy = csv_path.with_suffix(".json"), csv_path.with_suffix(".npy")
+    if csv_path in (side, npy):
+        raise ValueError(f"bid file {csv_path} would overwrite its sidecar or its .npy copy")
+    bids = np.ascontiguousarray(sample.bids)
     # np.savetxt's bytes, formatted a chunk at a time instead of a row at a time
-    with open(csv_path, "w") as f:
-        f.write("bid\n")
+    size, crc = 4, zlib.crc32(b"bid\n")
+    with open(csv_path, "wb") as f:
+        f.write(b"bid\n")
         for i in range(0, len(bids), CSV_CHUNK):
             part = bids[i:i + CSV_CHUNK].tolist()
-            f.write("%.17g\n" * len(part) % tuple(part))
-    csv_path.with_suffix(".json").write_text(
-        json.dumps({"format": sample.format, "n": sample.n, "rule": sample.rule.describe()}, indent=2)
-    )
+            text = ("%.17g\n" * len(part) % tuple(part)).encode()
+            f.write(text)
+            size, crc = size + len(text), zlib.crc32(text, crc)
+    with open(npy, "wb") as f:
+        np.save(f, bids)
+    # written last: until it is, no sidecar vouches for the new files
+    side.write_text(json.dumps({
+        "format": sample.format, "n": sample.n, "rule": sample.rule.describe(),
+        "weights": _weights_text(sample.rule), "N": len(bids),
+        "csv_bytes": size, "csv_crc32": crc, "npy_crc32": zlib.crc32(bids),
+    }, indent=2))
+
+
+def _read_sidecar(csv_path) -> dict:
+    """The JSON sidecar beside a bid file, or {} when it is missing or holds
+    no JSON object."""
+    try:
+        meta = json.loads(Path(csv_path).with_suffix(".json").read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return meta if isinstance(meta, dict) else {}
+
+
+def check_sidecar(csv_path, fmt: str, rule: AllocationRule) -> str | None:
+    """Compare the sidecar of a bid file with the format and source rule its
+    bids are to be read under.  Raises ValueError when it records another
+    format or agent count; returns a warning when it records other position
+    weights, None when it agrees or lacks the field."""
+    meta = _read_sidecar(csv_path)
+    for key, given in (("format", fmt), ("n", rule.n)):
+        if key in meta and meta[key] != given:
+            raise ValueError(f"bid file {csv_path} records {key} {meta[key]!r} in its sidecar, "
+                             f"but {key} {given!r} was given")
+    if "weights" in meta and meta["weights"] != _weights_text(rule):
+        return (f"bid file {csv_path} records source {meta.get('rule')!r} in its sidecar, "
+                f"but {rule.describe()!r} was given")
+    return None
+
+
+def _first_line(data: bytes) -> bytes:
+    """The bytes before the first line end, as a text-mode readline sees them."""
+    return re.match(rb"[^\r\n]*", data).group()
+
+
+def _saved_bids(csv_path: Path, data: bytes) -> np.ndarray | None:
+    """The bids of the .npy copy beside csv_path, or None unless the sidecar
+    records data's length and CRC-32 and the copy holds N float64 bids whose
+    CRC-32 it records too."""
+    meta = _read_sidecar(csv_path)
+    try:
+        shape, crc = (meta["N"],), meta["npy_crc32"]
+        with open(csv_path.with_suffix(".npy"), "rb") as f:
+            if meta["csv_bytes"] != len(data) or meta["csv_crc32"] != zlib.crc32(data):
+                return None
+            # the .npy reader np.load uses, without np.load's turn to pickles and zips
+            bids = np.lib.format.read_array(f, allow_pickle=False)
+    except (KeyError, OSError, ValueError, EOFError):
+        return None
+    if bids.dtype != np.float64 or bids.shape != shape or zlib.crc32(bids) != crc:
+        return None
+    return bids
 
 
 def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
     """The sample in a file written by write_bid_csv: a 'bid' header line,
-    then one bid a line."""
-    with open(csv_path) as f:
-        header = f.readline()
-    if header.strip() != "bid":
+    then one bid a line.  The file's bytes are read once; the bids come
+    from its .npy copy when the sidecar's lengths and CRC-32s match the file
+    and the copy, and from parsing the text otherwise, so an edited CSV
+    always wins over a stale copy.  Both give the same bits, and the sample
+    makes the same checks on either."""
+    data = Path(csv_path).read_bytes()
+    if _first_line(data).strip() != b"bid":
         raise ValueError(f"bid file {csv_path} must start with the header line 'bid'")
-    with warnings.catch_warnings():
-        # numpy warns before returning no rows; the error below says it instead
-        warnings.simplefilter("ignore", UserWarning)
-        # given the path, loadtxt reads a quarter faster than from an open text file
-        bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
+    bids = _saved_bids(Path(csv_path), data)
+    if bids is None:
+        with warnings.catch_warnings():
+            # numpy warns before returning no rows; the error below says it instead
+            warnings.simplefilter("ignore", UserWarning)
+            # given the path, loadtxt reads a quarter faster than from an open text file
+            bids = np.loadtxt(csv_path, skiprows=1, ndmin=1)
     if bids.size == 0:
         raise ValueError(f"bid file {csv_path} holds no bids")
     bids.setflags(write=False)  # no one else holds it, so BidSample need not copy it

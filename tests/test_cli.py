@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,52 @@ class TestEstimate:
             "--target", "uniform-stair", "--n", "8", "--seed", "1",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--format", "firstprice", "--n", "8"],
+         "records format 'allpay' in its sidecar, but format 'firstprice' was given"),
+        (["--n", "9"], "records n 8 in its sidecar, but n 9 was given"),
+    ])
+    def test_sidecar_format_or_n_mismatch_exits_one(self, capsys, bids_csv, flags, message):
+        code = cli_main(["estimate", "--bids", str(bids_csv), "--source", "universal-b",
+                         "--target", "uniform-stair", "--seed", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: bid file {bids_csv} {message}\n"
+
+    def test_sidecar_rule_mismatch_only_warns(self, capsys, bids_csv):
+        """Another source rule than the sidecar's prints a warning and the
+        bytes the same run prints without the sidecar's weights."""
+        argv = ["estimate", "--bids", str(bids_csv), "--source", "k-unit:2",
+                "--target", "uniform-stair", "--n", "8", "--seed", "1"]
+        code = cli_main(argv)
+        warned = capsys.readouterr()
+        side = bids_csv.with_suffix(".json")
+        side.write_text(json.dumps({k: v for k, v in json.loads(side.read_text()).items()
+                                    if k != "weights"}))
+        assert cli_main(argv) == code == 0
+        plain = capsys.readouterr()
+        assert warned.out == plain.out != ""
+        assert plain.err == ""
+        assert warned.err.startswith(f"warning: bid file {bids_csv} records source 'position(")
+        assert warned.err.endswith(" but '2-unit(n=8)' was given\n")
+
+    def test_non_finite_bound_exits_one(self, capsys, tmp_path):
+        """All-pay bids of the one-unit rule at n = 256: the source's slope is
+        tiny but positive on the bound's grid, the bound overflows to inf, and
+        the run exits 1 without a numpy warning."""
+        curve = allpay_bid_curve(Beta22(), parse_rule("k-unit:1", 256), QuantileGrid(10_000))
+        path = tmp_path / "bids.csv"
+        write_bid_csv(sample_bids(curve, 100, 0), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["estimate", "--bids", str(path), "--source", "k-unit:1",
+                             "--target", "uniform-stair", "--n", "256", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the estimate 5.129774095e+28 or its bound inf is not finite\n"
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from auctionab.dist import (
     TabulatedQuantile,
     Uniform01,
     expected_value,
+    grid_values,
     make_distribution,
     true_revenue,
     true_revenue_alt,
@@ -114,6 +115,32 @@ class TestMakeDistribution:
         assert isinstance(make_distribution("beta22"), Beta22)
         with pytest.raises(ValueError):
             make_distribution("cauchy")
+
+
+class TestGridValues:
+    def test_one_evaluation_per_distribution_and_grid(self, monkeypatch):
+        grid_values.cache_clear()
+        calls, real = [], Beta22.v
+        monkeypatch.setattr(Beta22, "v", lambda self, q: calls.append(np.size(q)) or real(self, q))
+        v = grid_values(Beta22(), QuantileGrid(123))
+        assert grid_values(make_distribution("beta22"), QuantileGrid(123)) is v
+        assert calls == [124]
+        assert not v.flags.writeable
+        assert v.tobytes() == real(Beta22(), QuantileGrid(123).q).tobytes()
+        grid_values.cache_clear()
+
+    def test_stateless_distributions_compare_by_type(self):
+        assert Beta22() == Beta22() and hash(Beta22()) == hash(Beta22())
+        assert Uniform01() != Beta22()
+
+    @pytest.mark.parametrize("d", [Uniform01(), Beta22(), TabulatedQuantile([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])])
+    def test_oracles_keep_their_bits(self, d):
+        """The oracles on the shared values give the bits of evaluating v anew."""
+        q, rule = GRID.q, uniform_stair(8)
+        assert true_revenue(d, rule, GRID) == float(np.trapezoid(d.revenue(q) * rule.xprime(q), q))
+        assert expected_value(d, GRID) == float(np.trapezoid(d.v(q), q))
+        w = uniform_stair_weights(8)
+        assert true_welfare(d, w, GRID) == float(np.trapezoid(d.v(q) * Position(w).x(q), q))
 
 
 class TestTrueRevenue:

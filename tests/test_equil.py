@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from auctionab.equil import (
     BidSample,
     allpay_bid_curve,
     bid_curve,
+    check_sidecar,
     empirical_bid_function,
     firstprice_bid_curve,
     invert,
@@ -275,16 +277,22 @@ class TestCsvIo:
         back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
         assert back.bids.tobytes() == s.bids.tobytes()
 
-    def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch):
-        """Sorted bids read from a file are stored without a copy."""
-        path, loaded, real_loadtxt = tmp_path / "bids.csv", [], np.loadtxt
+    @pytest.mark.parametrize("reader", ["parse", "copy"])
+    def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch, reader):
+        """Sorted bids read from a file are stored without a copy, on the
+        parse path (no .npy beside the file) and on the .npy path alike."""
+        path, loaded = tmp_path / "bids.csv", []
+        owner, name = (np, "loadtxt") if reader == "parse" else (np.lib.format, "read_array")
+        real = getattr(owner, name)
 
-        def loadtxt(*args, **kwargs):
-            loaded.append(real_loadtxt(*args, **kwargs))
+        def load(*args, **kwargs):
+            loaded.append(real(*args, **kwargs))
             return loaded[-1]
 
         write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.1, 0.2, 0.4])), path)
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        if reader == "parse":
+            (tmp_path / "bids.npy").unlink()
+        monkeypatch.setattr(owner, name, load)
         assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids is loaded[0]
 
     @pytest.mark.parametrize("text, message", [
@@ -312,6 +320,118 @@ class TestCsvIo:
         write_bid_csv(s, path)
         assert path.read_text().splitlines()[0] == "bid"
         sidecar = json.loads((tmp_path / "bids.json").read_text())
-        assert sidecar == {"format": "allpay", "n": 4, "rule": uniform_stair(4).describe()}
+        csv = path.read_bytes()
+        assert sidecar == {
+            "format": "allpay", "n": 4, "rule": uniform_stair(4).describe(),
+            "weights": "1,0.66666666666666663,0.33333333333333331,0", "N": 50,
+            "csv_bytes": len(csv), "csv_crc32": zlib.crc32(csv), "npy_crc32": zlib.crc32(s.bids),
+        }
+        np.testing.assert_array_equal(np.load(tmp_path / "bids.npy"), s.bids)
         back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
         np.testing.assert_allclose(back.bids, s.bids)
+
+
+def _count_parses(monkeypatch) -> list:
+    """Record each np.loadtxt call; the list grows by one per parse."""
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _flip_byte(path, offset: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1
+    path.write_bytes(bytes(data))
+
+
+class TestBinaryCopy:
+    """read_bid_csv loads the .npy copy only while the sidecar vouches for it."""
+
+    @pytest.mark.parametrize("N", [1, CSV_CHUNK - 1, CSV_CHUNK + 1, 3 * CSV_CHUNK + 5])
+    def test_both_paths_give_the_same_bits(self, tmp_path, monkeypatch, N):
+        rng = np.random.default_rng(N)
+        bids = np.concatenate((SPECIAL_BIDS, rng.random(N) * 10.0 ** rng.integers(-5, 5, N)))[:N]
+        s = BidSample(ALL_PAY, uniform_stair(4), bids)
+        path = tmp_path / "bids.csv"
+        write_bid_csv(s, path)
+        parses = _count_parses(monkeypatch)
+        copy = read_bid_csv(path, ALL_PAY, uniform_stair(4))
+        assert parses == []
+        (tmp_path / "bids.npy").unlink()
+        parsed = read_bid_csv(path, ALL_PAY, uniform_stair(4))
+        assert len(parses) == 1
+        assert copy.bids.tobytes() == parsed.bids.tobytes() == s.bids.tobytes()
+        assert not copy.bids.flags.writeable
+
+    def _written(self, tmp_path):
+        path = tmp_path / "bids.csv"
+        write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.125, 0.25, 0.5])), path)
+        return path, tmp_path / "bids.npy", tmp_path / "bids.json"
+
+    def test_edited_csv_wins(self, tmp_path, monkeypatch):
+        path, _, _ = self._written(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"0.125", b"0.126"))  # one byte, same length
+        parses = _count_parses(monkeypatch)
+        assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids.tolist() == [0.126, 0.25, 0.5]
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "payload byte", "header byte",
+                                        "old sidecar", "no sidecar", "sidecar not json"])
+    def test_damaged_copy_falls_back_to_the_parse(self, tmp_path, monkeypatch, damage):
+        path, npy, side = self._written(tmp_path)
+        if damage == "missing":
+            npy.unlink()
+        elif damage == "truncated":
+            npy.write_bytes(npy.read_bytes()[:-1])
+        elif damage == "payload byte":
+            _flip_byte(npy, -3)  # same length, the CRC no longer matches
+        elif damage == "header byte":
+            npy.write_bytes(npy.read_bytes().replace(b"'<f8'", b"'>f8'"))
+        elif damage == "old sidecar":
+            side.write_text(json.dumps({"format": "allpay", "n": 4, "rule": "x"}))
+        elif damage == "no sidecar":
+            side.unlink()
+        else:
+            side.write_text("[1, 2")
+        parses = _count_parses(monkeypatch)
+        assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids.tolist() == [0.125, 0.25, 0.5]
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("suffix", [".npy", ".json"])
+    def test_csv_may_not_take_a_companion_name(self, tmp_path, suffix):
+        with pytest.raises(ValueError, match="would overwrite"):
+            write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), [0.5]), tmp_path / f"bids{suffix}")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCheckSidecar:
+    def _written(self, tmp_path):
+        path = tmp_path / "bids.csv"
+        write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.5])), path)
+        return path
+
+    def test_agreeing_sidecar(self, tmp_path):
+        assert check_sidecar(self._written(tmp_path), ALL_PAY, uniform_stair(4)) is None
+
+    @pytest.mark.parametrize("fmt, rule, message", [
+        (FIRST_PRICE, uniform_stair(4), "records format 'allpay' in its sidecar, but format 'firstprice'"),
+        (ALL_PAY, uniform_stair(5), "records n 4 in its sidecar, but n 5"),
+    ])
+    def test_format_or_n_mismatch_raises(self, tmp_path, fmt, rule, message):
+        with pytest.raises(ValueError, match=message):
+            check_sidecar(self._written(tmp_path), fmt, rule)
+
+    def test_rule_mismatch_warns(self, tmp_path):
+        path = self._written(tmp_path)
+        warning = check_sidecar(path, ALL_PAY, MultiUnit(2, 4))
+        assert "'position(1,0.666667,0.333333,0)'" in warning and "'2-unit(n=4)'" in warning
+
+    def test_missing_or_old_sidecar_checks_what_it_holds(self, tmp_path):
+        path = self._written(tmp_path)
+        side = tmp_path / "bids.json"
+        side.write_text(json.dumps({"format": "allpay", "n": 4, "rule": "x"}))
+        assert check_sidecar(path, ALL_PAY, MultiUnit(2, 4)) is None
+        with pytest.raises(ValueError, match="records n 4"):
+            check_sidecar(path, ALL_PAY, MultiUnit(2, 5))
+        side.unlink()
+        assert check_sidecar(path, FIRST_PRICE, MultiUnit(2, 5)) is None

@@ -5,7 +5,7 @@ import pytest
 
 from auctionab.alloc import MultiUnit, mixture, uniform_stair
 from auctionab.equil import FIRST_PRICE, allpay_bid_curve, bid_curve
-from auctionab.dist import Beta22, QuantileGrid, true_revenue
+from auctionab.dist import Beta22, QuantileGrid, grid_values, true_revenue
 from auctionab.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -169,3 +169,15 @@ class TestWorkerPool:
         with pytest.raises(ValueError) as exc:
             _worker_count()
         assert str(exc.value) == f"AUCTIONAB_WORKERS must be an integer, got {value!r}"
+
+
+def test_values_evaluated_once_across_cells(monkeypatch):
+    """A cell evaluates Beta22.v on its grid once, for the bid curve and the
+    oracle together, and the next cell on the same grid not at all."""
+    grid_values.cache_clear()
+    calls, real = [], Beta22.v
+    monkeypatch.setattr(Beta22, "v", lambda self, q: calls.append(np.size(q)) or real(self, q))
+    for fmt in ("allpay", FIRST_PRICE):
+        run_design(ExperimentSpec(design=1, n=8, N=50, trials=2, grid_m=321, format=fmt))
+    assert calls.count(322) == 1
+    grid_values.cache_clear()
