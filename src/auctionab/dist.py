@@ -60,8 +60,17 @@ class ValueDistribution:
         return self.vprime(q) * (1.0 - q) - self.v(q)
 
 
-@dataclass(frozen=True)
-class Uniform01(ValueDistribution):
+class _Unparametrized(ValueDistribution):
+    """A distribution without parameters: all instances of a class are equal."""
+
+    def __eq__(self, other):
+        return type(self) is type(other)
+
+    def __hash__(self):
+        return hash(type(self))
+
+
+class Uniform01(_Unparametrized):
     name = "uniform"
 
     def v(self, q):
@@ -71,8 +80,7 @@ class Uniform01(ValueDistribution):
         return np.ones_like(np.asarray(q, dtype=float))
 
 
-@dataclass(frozen=True)
-class Beta22(ValueDistribution):
+class Beta22(_Unparametrized):
     """Beta(2, 2) values: density f(v) = 6v(1-v), CDF F(v) = 3v^2 - 2v^3.
 
     The quantile function is the trigonometric root of the cubic,
@@ -148,9 +156,9 @@ class TabulatedQuantile(ValueDistribution):
 @functools.lru_cache(maxsize=8)
 def grid_values(dist: ValueDistribution, grid: QuantileGrid) -> np.ndarray:
     """v on the grid's points, read-only.  Each distribution and grid is
-    evaluated once: Uniform01 and Beta22 hold no state and compare equal, so
-    the Monte Carlo cells share one evaluation, for the bid curve and the
-    oracle alike."""
+    evaluated once: all instances of Uniform01, and of Beta22, compare
+    equal, so the Monte Carlo cells share one evaluation, for the bid curve
+    and the oracle alike."""
     v = dist.v(grid.q)
     v.setflags(write=False)
     return v

@@ -127,9 +127,8 @@ class TestGridValues:
         assert calls == [124]
         assert not v.flags.writeable
         assert v.tobytes() == real(Beta22(), QuantileGrid(123).q).tobytes()
-        grid_values.cache_clear()
 
-    def test_stateless_distributions_compare_by_type(self):
+    def test_unparametrized_distributions_compare_by_type(self):
         assert Beta22() == Beta22() and hash(Beta22()) == hash(Beta22())
         assert Uniform01() != Beta22()
 

@@ -277,22 +277,29 @@ class TestCsvIo:
         back = read_bid_csv(path, ALL_PAY, uniform_stair(4))
         assert back.bids.tobytes() == s.bids.tobytes()
 
-    @pytest.mark.parametrize("reader", ["parse", "copy"])
-    def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch, reader):
-        """Sorted bids read from a file are stored without a copy, on the
-        parse path (no .npy beside the file) and on the .npy path alike."""
-        path, loaded = tmp_path / "bids.csv", []
-        owner, name = (np, "loadtxt") if reader == "parse" else (np.lib.format, "read_array")
-        real = getattr(owner, name)
+    def test_read_keeps_the_loaded_array(self, tmp_path, monkeypatch):
+        """Sorted bids parsed from a file are stored without a copy."""
+        path, loaded, real_loadtxt = tmp_path / "bids.csv", [], np.loadtxt
 
-        def load(*args, **kwargs):
-            loaded.append(real(*args, **kwargs))
+        def loadtxt(*args, **kwargs):
+            loaded.append(real_loadtxt(*args, **kwargs))
             return loaded[-1]
 
         write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.1, 0.2, 0.4])), path)
-        if reader == "parse":
-            (tmp_path / "bids.npy").unlink()
-        monkeypatch.setattr(owner, name, load)
+        (tmp_path / "bids.npy").unlink()  # so the bids are parsed
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids is loaded[0]
+
+    def test_read_keeps_the_array_of_the_copy(self, tmp_path, monkeypatch):
+        """Sorted bids loaded from the .npy copy are stored without a copy."""
+        path, loaded, real_read = tmp_path / "bids.csv", [], np.lib.format.read_array
+
+        def read_array(*args, **kwargs):
+            loaded.append(real_read(*args, **kwargs))
+            return loaded[-1]
+
+        write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.1, 0.2, 0.4])), path)
+        monkeypatch.setattr(np.lib.format, "read_array", read_array)
         assert read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids is loaded[0]
 
     @pytest.mark.parametrize("text, message", [

@@ -180,4 +180,3 @@ def test_values_evaluated_once_across_cells(monkeypatch):
     for fmt in ("allpay", FIRST_PRICE):
         run_design(ExperimentSpec(design=1, n=8, N=50, trials=2, grid_m=321, format=fmt))
     assert calls.count(322) == 1
-    grid_values.cache_clear()
