@@ -7,7 +7,7 @@ and write the figures to BENCH_io.json.
 Every case is one sample size N in {1e3, 1e4, 1e5}: N all-pay bids drawn
 from the uniform stair at n = 32 on the 10^4-point Beta(2, 2) grid, as the
 bid files of the ab_decide benchmark are.  A case reports, as medians over
-the repeats, the calls taking turns:
+the repeats, every call of the case taking its turn in each repeat:
 
 - write_ms: write_bid_csv of the sample;
 - read_ms: read_bid_csv of the file as write_bid_csv left it, which loads
@@ -41,6 +41,7 @@ from estim_kernels import describe, load_package, medians, provenance  # noqa: E
 SAMPLE_SIZES = (1_000, 10_000, 100_000)
 N_AGENTS = 32
 SOURCE, TARGET = "uniform-stair", "k-unit:1"
+METRICS = ("write_ms", "read_ms", "parse_ms", "estimate_ms")
 
 
 def estimate(pkg, path: Path) -> str:
@@ -72,9 +73,11 @@ def run_case(pkgs: dict, N: int, seed: int, repeats: int, workdir: Path) -> dict
             "estimate_ms": lambda pkg=pkg, p=written: estimate(pkg, p),
         }
     case = {"N": N, "n": N_AGENTS}
-    for metric in ("write_ms", "read_ms", "parse_ms", "estimate_ms"):
-        times = medians([c[metric] for c in calls.values()], repeats, 1e3)
-        case[metric] = dict(zip(pkgs, times))
+    # one loop over every call, so a change in the host's speed hits them all alike
+    keys = [(metric, name) for metric in METRICS for name in pkgs]
+    times = medians([calls[name][metric] for metric, name in keys], repeats, 1e3)
+    for (metric, name), t in zip(keys, times):
+        case.setdefault(metric, {})[name] = t
     case["same_bits"] = all(len(set(r)) == 1 for r in reads.values())
     if len(pkgs) > 1:
         case["same_bits_as_baseline"] = reads["this"][0] == reads["baseline"][0]
@@ -99,7 +102,7 @@ def main() -> int:
             cases.append(c)
             print(f"N={N:<6d} " + "  ".join(
                 f"{m} " + " ".join(f"{k} {v:8.3f}" for k, v in c[m].items())
-                for m in ("write_ms", "read_ms", "parse_ms", "estimate_ms"))
+                for m in METRICS)
                 + f"  same_bits {c['same_bits']}", flush=True)
     out = {"bench": "bid_files", "provenance": provenance(args), "this": describe(ROOT), "cases": cases}
     if args.baseline:
