@@ -281,11 +281,6 @@ def check_sidecar(csv_path, fmt: str, rule: AllocationRule) -> str | None:
     return None
 
 
-def _first_line(data: bytes) -> bytes:
-    """The bytes before the first line end, as a text-mode readline sees them."""
-    return re.match(rb"[^\r\n]*", data).group()
-
-
 def _saved_bids(csv_path: Path, data: bytes) -> np.ndarray | None:
     """The bids of the .npy copy beside csv_path, or None unless the sidecar
     records data's length and CRC-32 and the copy holds N float64 bids whose
@@ -307,13 +302,14 @@ def _saved_bids(csv_path: Path, data: bytes) -> np.ndarray | None:
 
 def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
     """The sample in a file written by write_bid_csv: a 'bid' header line,
-    then one bid a line.  The file's bytes are read once; the bids come
-    from its .npy copy when the sidecar's lengths and CRC-32s match the file
-    and the copy, and from parsing the text otherwise, so an edited CSV
-    always wins over a stale copy.  Both give the same bits, and the sample
-    makes the same checks on either."""
+    then one bid a line.  The header is checked on the file's bytes; the
+    bids come from its .npy copy when the sidecar's lengths and CRC-32s
+    match the file and the copy, and from parsing the text otherwise, so an
+    edited CSV always wins over a stale copy.  Both give the same bits, and
+    the sample makes the same checks on either."""
     data = Path(csv_path).read_bytes()
-    if _first_line(data).strip() != b"bid":
+    # the first line ends at \n, \r or \r\n, as a text-mode readline sees it
+    if re.match(rb"[^\r\n]*", data).group().strip() != b"bid":
         raise ValueError(f"bid file {csv_path} must start with the header line 'bid'")
     bids = _saved_bids(Path(csv_path), data)
     if bids is None:
