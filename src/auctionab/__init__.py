@@ -15,8 +15,6 @@ from .alloc import (
     marginal_weights,
     max_slope,
     mixture,
-    multi_unit_alloc,
-    multi_unit_alloc_deriv,
     parse_rule,
     uniform_stair,
     uniform_stair_weights,
@@ -26,7 +24,6 @@ from .alloc import (
 from .dist import (
     Beta22,
     QuantileGrid,
-    TabulatedQuantile,
     Uniform01,
     ValueDistribution,
     expected_value,
@@ -41,7 +38,6 @@ from .equil import (
     BidSample,
     allpay_bid_curve,
     bid_curve,
-    empirical_bid_function,
     firstprice_bid_curve,
     invert,
     read_bid_csv,

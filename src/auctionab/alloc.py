@@ -37,33 +37,6 @@ def _as_array(q):
     return q
 
 
-def multi_unit_alloc(k: int, n: int, q):
-    """Probability that an agent at quantile q is served by the
-    highest-k-bids-win auction with n agents.
-
-    x_k(q) = sum_{i=0}^{k-1} C(n-1, i) q^{n-1-i} (1-q)^i, evaluated as the
-    regularized incomplete beta function I_q(n-k, k), which keeps its
-    relative accuracy at large n and in the far tail.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"unit count k={k} outside 1..{n}")
-    q = _as_array(q)
-    if k == n:
-        return np.ones_like(q)
-    # sum equals P(Binom(n-1, 1-q) <= k-1) = I_q(n-k, k)
-    return _ibeta(n - k, k, q)
-
-
-def multi_unit_alloc_deriv(k: int, n: int, q):
-    """Derivative of multi_unit_alloc with respect to q:
-    x_k'(q) = (n-1) C(n-2, k-1) q^{n-1-k} (1-q)^{k-1}, with 0**0 = 1 at the
-    endpoints so the derivative is defined on the closed interval.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"unit count k={k} outside 1..{n}")
-    return _binom_pmf(n - 2, k - 1, _as_array(q), n - 1)
-
-
 def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
     """scale * P(Bin(m, 1-q) = j), the chance that exactly j of m rivals
     have quantile above q (zero for j outside 0..m), in log space so the
@@ -357,10 +330,6 @@ class AllocationRule:
     @property
     def weights(self) -> PositionWeights:
         return PositionWeights(self._w)
-
-    @property
-    def marginals(self) -> MarginalWeights:
-        return marginal_weights(self.weights)
 
     def x(self, q):
         q = _as_array(q)

@@ -1,10 +1,10 @@
-"""Value distributions in quantile space, revenue curves, and ground-truth
-revenue/welfare oracles.
+"""Value distributions in quantile space and ground-truth revenue/welfare
+oracles.
 
-The quantile q of a value v is F(v); the value function v(q) = F^{-1}(q) and
-the revenue curve R(q) = v(q) (1 - q) carry everything the estimators need.
-Ground truths, revenue and welfare alike, are computed by trapezoidal
-quadrature on a uniform grid.
+The quantile q of a value v is F(v); a distribution is given by its value
+function v(q) = F^{-1}(q): uniform on [0, 1] or Beta(2, 2).  Ground truths
+are trapezoidal quadratures on a uniform grid, of the revenue curve
+R(q) = v(q) (1 - q) against x'(q) for revenue and of v(q) x(q) for welfare.
 """
 from __future__ import annotations
 
@@ -47,18 +47,6 @@ class ValueDistribution:
     def v(self, q):
         raise NotImplementedError
 
-    def vprime(self, q):
-        raise NotImplementedError
-
-    def revenue(self, q):
-        """R(q) = v(q)(1-q); R(0) = R(1) = 0 by convention."""
-        q = np.asarray(q, dtype=float)
-        return _revenue(q, self.v(q))
-
-    def rprime(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.vprime(q) * (1.0 - q) - self.v(q)
-
 
 class _Unparametrized(ValueDistribution):
     """A distribution without parameters: all instances of a class are equal."""
@@ -76,9 +64,6 @@ class Uniform01(_Unparametrized):
     def v(self, q):
         return np.asarray(q, dtype=float)
 
-    def vprime(self, q):
-        return np.ones_like(np.asarray(q, dtype=float))
-
 
 class Beta22(_Unparametrized):
     """Beta(2, 2) values: density f(v) = 6v(1-v), CDF F(v) = 3v^2 - 2v^3.
@@ -86,12 +71,9 @@ class Beta22(_Unparametrized):
     The quantile function is the trigonometric root of the cubic,
     1/2 + sin(arcsin(2q-1)/3) = 2 sin(t) cos(pi/6 - t) with t = arcsin(sqrt q)/3
     (exact at q = 0 and relatively precise for small q), plus one Newton step.
-    The derivative v'(q) = 1/f(v(q)) clamps q away from the endpoints where
-    the density vanishes.
     """
 
     name = "beta22"
-    _endpoint_delta = 1e-5  # 1/(10 m) at the default grid size
 
     @staticmethod
     def cdf(v):
@@ -106,51 +88,6 @@ class Beta22(_Unparametrized):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(f > 0.0, (self.cdf(v) - q) / f, 0.0)
         return np.clip(v - step, 0.0, 1.0)
-
-    def vprime(self, q):
-        q = np.clip(np.asarray(q, dtype=float), self._endpoint_delta, 1.0 - self._endpoint_delta)
-        val = self.v(q)
-        return 1.0 / (6.0 * val * (1.0 - val))
-
-
-class TabulatedQuantile(ValueDistribution):
-    """Quantile function given as monotone (q, v) pairs from q = 0 to q = 1,
-    linearly interpolated; the derivative is numeric."""
-
-    name = "tabulated"
-
-    def __init__(self, qs, vs):
-        qs = np.asarray(qs, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if qs.ndim != 1 or qs.shape != vs.shape or len(qs) < 2:
-            raise ValueError("need matching 1-d arrays of at least 2 points")
-        if np.any(np.diff(qs) <= 0):
-            raise ValueError("quantile grid must be strictly increasing")
-        if qs[0] != 0.0 or qs[-1] != 1.0:
-            raise ValueError("quantile grid must start at q = 0 and end at q = 1")
-        if np.any(np.diff(vs) < 0):
-            raise ValueError("values must be nondecreasing in quantile")
-        self._qs = qs
-        self._vs = vs
-        self._dv = np.gradient(vs, qs)
-
-    def v(self, q):
-        return np.interp(np.asarray(q, dtype=float), self._qs, self._vs)
-
-    def vprime(self, q):
-        return np.interp(np.asarray(q, dtype=float), self._qs, self._dv)
-
-    @classmethod
-    def from_csv(cls, path) -> "TabulatedQuantile":
-        """The table in a CSV file: a 'q,v' header line, then one q,v pair a line."""
-        with open(path) as f:
-            header = f.readline()
-        if header.strip() != "q,v":
-            raise ValueError(f"quantile file {path} must start with the header line 'q,v'")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError(f"quantile file {path} must hold q,v pairs under its header")
-        return cls(data[:, 0], data[:, 1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,13 +115,6 @@ def true_revenue(dist: ValueDistribution, rule: AllocationRule, grid: QuantileGr
     quadrature; this is the oracle every estimator is judged against."""
     q = grid.q
     return float(np.trapezoid(_revenue(q, grid_values(dist, grid)) * rule.xprime(q), q))
-
-
-def true_revenue_alt(dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID) -> float:
-    """The equivalent form -E_q[R'(q) x(q)]; agreement with true_revenue is a
-    quadrature self-check."""
-    q = grid.q
-    return float(-np.trapezoid(dist.rprime(q) * rule.x(q), q))
 
 
 def expected_value(dist: ValueDistribution, grid: QuantileGrid = DEFAULT_GRID) -> float:

@@ -207,17 +207,6 @@ def sample_bids(curve: BidCurve, N: int, seed) -> BidSample:
     return BidSample(curve.format, curve.rule, curve.draw(N, seed))
 
 
-def empirical_bid_function(sample: BidSample, q):
-    """Step function equal to the i-th smallest bid on [(i-1)/N, i/N); the
-    largest bid at q = 1."""
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
-        raise ValueError("quantile outside [0, 1]")
-    N = sample.size
-    idx = np.minimum((q * N).astype(int), N - 1)
-    return sample.bids[idx]
-
-
 def _weights_text(rule: AllocationRule) -> str:
     """The rule's position weights as a sidecar records them: %.17g, comma
     separated, so equal text means equal bits (and --source accepts it)."""

@@ -56,14 +56,14 @@ class EstimateReport:
         if self.bound is not None and self.bound < 0:
             raise ValueError("error bound must be nonnegative")
 
-    def csv_row(self, truth: Optional[float] = None) -> str:
+    def csv_row(self) -> str:
+        """The estimate row: with no ground truth, its truth and abs_error
+        cells are empty."""
         m = self.meta
-        err = "" if truth is None else f"{abs(self.point - truth):.10g}"
-        tr = "" if truth is None else f"{truth:.10g}"
         bd = "" if self.bound is None else f"{self.bound:.10g}"
         return ",".join(
             str(m.get(k, "")) for k in ("design", "format", "n", "N", "eps", "seed")
-        ) + f",{self.point:.10g},{tr},{err},{bd}"
+        ) + f",{self.point:.10g},,,{bd}"
 
 
 class SourceGrid:

@@ -21,15 +21,49 @@ from auctionab.alloc import (
     marginal_weights,
     max_slope,
     mixture,
-    multi_unit_alloc,
-    multi_unit_alloc_deriv,
     parse_rule,
     uniform_stair,
     uniform_stair_weights,
     universal_b,
     weights_from_marginals,
 )
-from auctionab.alloc import _between, _binom_pmf, _ibeta
+from auctionab.alloc import _as_array, _between, _binom_pmf, _ibeta
+
+
+def multi_unit_alloc(k: int, n: int, q):
+    """Probability that an agent at quantile q is served by the
+    highest-k-bids-win auction with n agents.
+
+    x_k(q) = sum_{i=0}^{k-1} C(n-1, i) q^{n-1-i} (1-q)^i, evaluated as the
+    regularized incomplete beta function I_q(n-k, k), which keeps its
+    relative accuracy at large n and in the far tail.
+    """
+    if not (1 <= k <= n):
+        raise ValueError(f"unit count k={k} outside 1..{n}")
+    q = _as_array(q)
+    if k == n:
+        return np.ones_like(q)
+    # sum equals P(Binom(n-1, 1-q) <= k-1) = I_q(n-k, k)
+    return _ibeta(n - k, k, q)
+
+
+def multi_unit_alloc_deriv(k: int, n: int, q):
+    """Derivative of multi_unit_alloc with respect to q:
+    x_k'(q) = (n-1) C(n-2, k-1) q^{n-1-k} (1-q)^{k-1}, with 0**0 = 1 at the
+    endpoints so the derivative is defined on the closed interval.
+    """
+    if not (1 <= k <= n):
+        raise ValueError(f"unit count k={k} outside 1..{n}")
+    return _binom_pmf(n - 2, k - 1, _as_array(q), n - 1)
+
+
+#: (x_k, x_k') as the per-term reference above, the one every rule
+#: evaluator is checked against, and as the rule MultiUnit(k, n) evaluates
+#: over its runs; the multi-unit checks below hold for both
+MULTI_UNIT_FORMS = (
+    (multi_unit_alloc, multi_unit_alloc_deriv),
+    (lambda k, n, q: MultiUnit(k, n).x(q), lambda k, n, q: MultiUnit(k, n).xprime(q)),
+)
 
 
 def direct_alloc(k, n, q):
@@ -42,59 +76,69 @@ class TestMultiUnitAlloc:
         for n in (2, 3, 5, 8, 13):
             for k in range(1, n + 1):
                 expect = np.array([direct_alloc(k, n, t) for t in q])
-                np.testing.assert_allclose(multi_unit_alloc(k, n, q), expect, atol=1e-12)
+                for alloc, _ in MULTI_UNIT_FORMS:
+                    np.testing.assert_allclose(alloc(k, n, q), expect, atol=1e-12)
 
     def test_one_unit_is_power_rule(self):
         q = np.linspace(0, 1, 50)
-        np.testing.assert_allclose(multi_unit_alloc(1, 6, q), q**5, atol=1e-13)
+        for alloc, _ in MULTI_UNIT_FORMS:
+            np.testing.assert_allclose(alloc(1, 6, q), q**5, atol=1e-13)
 
     def test_serve_all_is_constant_one(self):
         q = np.linspace(0, 1, 50)
-        np.testing.assert_array_equal(multi_unit_alloc(4, 4, q), np.ones(50))
+        for alloc, _ in MULTI_UNIT_FORMS:
+            np.testing.assert_array_equal(alloc(4, 4, q), np.ones(50))
 
     def test_monotone_and_bounded(self):
         q = np.linspace(0, 1, 400)
         for n, k in ((8, 3), (32, 16), (1024, 100)):
-            x = multi_unit_alloc(k, n, q)
-            assert np.all(np.diff(x) >= -1e-12)
-            assert x[0] == 0.0 if k < n else x[0] == 1.0
-            assert abs(x[-1] - 1.0) < 1e-12
+            for alloc, _ in MULTI_UNIT_FORMS:
+                x = alloc(k, n, q)
+                assert np.all(np.diff(x) >= -1e-12)
+                assert x[0] == 0.0 if k < n else x[0] == 1.0
+                assert abs(x[-1] - 1.0) < 1e-12
 
     def test_invalid_k_raises(self):
-        with pytest.raises(ValueError):
-            multi_unit_alloc(0, 4, 0.5)
-        with pytest.raises(ValueError):
-            multi_unit_alloc(5, 4, 0.5)
+        for alloc, _ in MULTI_UNIT_FORMS:
+            with pytest.raises(ValueError):
+                alloc(0, 4, 0.5)
+            with pytest.raises(ValueError):
+                alloc(5, 4, 0.5)
 
     def test_quantile_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            multi_unit_alloc(1, 4, 1.5)
+        for alloc, _ in MULTI_UNIT_FORMS:
+            with pytest.raises(ValueError):
+                alloc(1, 4, 1.5)
 
 
 class TestMultiUnitDerivatives:
     def test_deriv_matches_numeric_gradient(self):
         q = np.linspace(0, 1, 4001)
         for n, k in ((2, 1), (5, 2), (8, 7), (16, 9)):
-            num = np.gradient(multi_unit_alloc(k, n, q), q)
-            ana = multi_unit_alloc_deriv(k, n, q)
-            np.testing.assert_allclose(ana[5:-5], num[5:-5], atol=2e-3, rtol=1e-3)
+            for alloc, deriv in MULTI_UNIT_FORMS:
+                num = np.gradient(alloc(k, n, q), q)
+                ana = deriv(k, n, q)
+                np.testing.assert_allclose(ana[5:-5], num[5:-5], atol=2e-3, rtol=1e-3)
 
     def test_large_n_no_overflow(self):
         q = np.linspace(0, 1, 201)
         for k in (1, 2, 512, 1023):
-            d = multi_unit_alloc_deriv(k, 1024, q)
-            assert np.all(np.isfinite(d))
-            assert np.all(d >= 0)
+            for _, deriv in MULTI_UNIT_FORMS:
+                d = deriv(k, 1024, q)
+                assert np.all(np.isfinite(d))
+                assert np.all(d >= 0)
 
     def test_deriv_integrates_to_one(self):
         q = np.linspace(0, 1, 20001)
         for n, k in ((8, 3), (64, 20), (1024, 7)):
-            total = np.trapezoid(multi_unit_alloc_deriv(k, n, q), q)
-            assert abs(total - 1.0) < 1e-6
+            for _, deriv in MULTI_UNIT_FORMS:
+                total = np.trapezoid(deriv(k, n, q), q)
+                assert abs(total - 1.0) < 1e-6
 
     def test_serve_all_derivatives_vanish(self):
         q = np.linspace(0, 1, 11)
-        assert np.all(multi_unit_alloc_deriv(3, 3, q) == 0)
+        for _, deriv in MULTI_UNIT_FORMS:
+            assert np.all(deriv(3, 3, q) == 0)
 
     def test_pmf_endpoints_exact_without_warnings(self):
         # Bin(m, 1-q) is m at q = 0 and 0 at q = 1: 0**0 = 1, every other pmf 0
@@ -309,7 +353,7 @@ class TestPositionRule:
         q = np.linspace(0, 1, 101)
         w = PositionWeights([0.9, 0.6, 0.6, 0.1])
         rule = Position(w)
-        wbar = rule.marginals.wbar
+        wbar = marginal_weights(rule.weights).wbar
         expect = sum(wbar[k] * multi_unit_alloc(k, 4, q) for k in range(1, 5))
         np.testing.assert_allclose(rule.x(q), expect, atol=1e-12)
 
@@ -546,7 +590,7 @@ def multi_unit_int(k, n, q):
 
 
 def per_term(fn, rule, q):
-    wbar = rule.marginals.wbar
+    wbar = marginal_weights(rule.weights).wbar
     terms = (wbar[k] * fn(k, rule.n, q) for k in range(1, rule.n + 1) if wbar[k] != 0.0)
     return sum(terms, np.zeros_like(q))
 

@@ -12,13 +12,12 @@ from auctionab.alloc import (
 from auctionab.dist import (
     Beta22,
     QuantileGrid,
-    TabulatedQuantile,
     Uniform01,
+    _revenue,
     expected_value,
     grid_values,
     make_distribution,
     true_revenue,
-    true_revenue_alt,
     true_welfare,
 )
 
@@ -41,10 +40,8 @@ class TestUniform01:
         np.testing.assert_array_equal(Uniform01().v(q), q)
 
     def test_revenue_boundary_zero(self):
-        d = Uniform01()
-        assert d.revenue(0.0) == 0.0
-        assert d.revenue(1.0) == 0.0
-        assert d.revenue(0.5) == pytest.approx(0.25)
+        q = np.array([0.0, 1.0, 0.5])
+        np.testing.assert_array_equal(_revenue(q, Uniform01().v(q)), [0.0, 0.0, 0.25])
 
 
 class TestBeta22:
@@ -57,12 +54,6 @@ class TestBeta22:
     def test_median_is_half(self):
         assert Beta22().v(0.5) == pytest.approx(0.5, abs=1e-10)
 
-    def test_vprime_matches_numeric(self):
-        d = Beta22()
-        q = np.linspace(0.1, 0.9, 3001)
-        num = np.gradient(d.v(q), q)
-        np.testing.assert_allclose(d.vprime(q), num, rtol=1e-3)
-
     def test_mean_is_half(self):
         assert expected_value(Beta22(), GRID) == pytest.approx(0.5, abs=1e-4)
 
@@ -73,40 +64,6 @@ class TestBeta22:
         assert np.max(np.abs(d.cdf(v) - q)) <= 1e-15
         assert d.v(0.0) == 0.0 and d.v(1.0) == 1.0
         assert np.all(np.diff(d.v(np.sort(q))) >= 0.0)
-
-
-class TestTabulatedQuantile:
-    def test_constant_distribution(self):
-        d = TabulatedQuantile([0.0, 1.0], [0.7, 0.7])
-        assert d.v(0.3) == pytest.approx(0.7)
-        assert expected_value(d, GRID) == pytest.approx(0.7)
-
-    def test_decreasing_values_rejected(self):
-        with pytest.raises(ValueError):
-            TabulatedQuantile([0.0, 0.5, 1.0], [0.5, 0.4, 0.6])
-
-    def test_csv_round_trip(self, tmp_path):
-        p = tmp_path / "dist.csv"
-        p.write_text("q,v\n0,0\n0.5,0.4\n1,1\n")
-        d = TabulatedQuantile.from_csv(p)
-        assert d.v(0.5) == pytest.approx(0.4)
-
-    @pytest.mark.parametrize("text, message", [
-        # without the header the first point would be skipped silently
-        ("0,0\n0.5,0.4\n1,1\n", "header line 'q,v'"),
-        ("", "header line 'q,v'"),
-        ("q,v\n0\n1\n", "q,v pairs"),
-    ])
-    def test_bad_csv_rejected(self, tmp_path, text, message):
-        p = tmp_path / "dist.csv"
-        p.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            TabulatedQuantile.from_csv(p)
-
-    @pytest.mark.parametrize("qs", [[0.5, 1.0], [0.0, 0.5], [0.1, 0.5, 0.9]])
-    def test_table_must_span_unit_interval(self, qs):
-        with pytest.raises(ValueError, match="q = 0 and end at q = 1"):
-            TabulatedQuantile(qs, np.linspace(0.4, 1.0, len(qs)))
 
 
 class TestMakeDistribution:
@@ -132,11 +89,11 @@ class TestGridValues:
         assert Beta22() == Beta22() and hash(Beta22()) == hash(Beta22())
         assert Uniform01() != Beta22()
 
-    @pytest.mark.parametrize("d", [Uniform01(), Beta22(), TabulatedQuantile([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])])
+    @pytest.mark.parametrize("d", [Uniform01(), Beta22()])
     def test_oracles_keep_their_bits(self, d):
         """The oracles on the shared values give the bits of evaluating v anew."""
         q, rule = GRID.q, uniform_stair(8)
-        assert true_revenue(d, rule, GRID) == float(np.trapezoid(d.revenue(q) * rule.xprime(q), q))
+        assert true_revenue(d, rule, GRID) == float(np.trapezoid(_revenue(q, d.v(q)) * rule.xprime(q), q))
         assert expected_value(d, GRID) == float(np.trapezoid(d.v(q), q))
         w = uniform_stair_weights(8)
         assert true_welfare(d, w, GRID) == float(np.trapezoid(d.v(q) * Position(w).x(q), q))
@@ -147,10 +104,13 @@ class TestTrueRevenue:
         assert true_revenue(Uniform01(), MultiUnit(1, 2), GRID) == pytest.approx(1 / 6, abs=1e-6)
 
     def test_two_quadrature_forms_agree(self):
+        # the oracle E[R x'] against its form by parts, -E[R' x], with R' numeric
+        q = GRID.q
         for d in (Uniform01(), Beta22()):
+            rprime = np.gradient(_revenue(q, d.v(q)), q)
             for rule in (MultiUnit(1, 5), MultiUnit(3, 5), uniform_stair(8)):
                 a = true_revenue(d, rule, GRID)
-                b = true_revenue_alt(d, rule, GRID)
+                b = float(-np.trapezoid(rprime * rule.x(q), q))
                 assert abs(a - b) <= 1e-4
 
     def test_multi_unit_uniform_closed_form(self):

@@ -24,7 +24,6 @@ from auctionab.equil import (
     allpay_bid_curve,
     bid_curve,
     check_sidecar,
-    empirical_bid_function,
     firstprice_bid_curve,
     invert,
     read_bid_csv,
@@ -216,19 +215,6 @@ class TestDraw:
     def test_equilibrium_curves_are_ordered(self):
         for rule in (MultiUnit(1, 8), MultiUnit(7, 8), uniform_stair(8)):
             assert allpay_bid_curve(Beta22(), rule, GRID).ordered
-
-
-class TestEmpiricalBidFunction:
-    def test_step_lookup(self):
-        s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.2, 0.5, 0.9]))
-        assert empirical_bid_function(s, 0.4) == pytest.approx(0.5)
-        assert empirical_bid_function(s, 0.0) == pytest.approx(0.2)
-        assert empirical_bid_function(s, 1.0) == pytest.approx(0.9)
-
-    def test_out_of_range_rejected(self):
-        s = BidSample(ALL_PAY, uniform_stair(2), np.array([0.2]))
-        with pytest.raises(ValueError):
-            empirical_bid_function(s, 1.5)
 
 
 class TestBidSample:

@@ -387,8 +387,5 @@ class TestEstimateReport:
 
     def test_csv_row_layout(self):
         r = EstimateReport(0.25, meta={"design": 2, "format": ALL_PAY, "n": 4, "N": 100, "eps": 0.001, "seed": 7})
-        row = r.csv_row(truth=0.2)
-        cells = row.split(",")
-        assert cells[0] == "2"
-        assert cells[6] == "0.25"
-        assert float(cells[8]) == pytest.approx(0.05)
+        assert r.csv_row() == "2,allpay,4,100,0.001,7,0.25,,,"
+        assert EstimateReport(0.25, bound=0.5).csv_row() == ",,,,,,0.25,,,0.5"
