@@ -265,14 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # a config file supplies defaults: splice its flags right after the
-    # subcommand so explicit flags, which come later, take precedence
-    if argv and "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
+    # subcommand so explicit flags, which come later, take precedence.  Its
+    # path is found as argparse finds it, so --config=FILE and an
+    # abbreviation such as --conf FILE count too
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        print("error: --config needs a path", file=sys.stderr)
+        return 2
+    if config is not None:
         try:
-            argv = argv[:1] + _read_config(argv[i + 1]) + argv[1:]
+            argv = argv[:1] + _read_config(config) + argv[1:]
         except (OSError, ValueError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2

@@ -282,6 +282,15 @@ class TestConfigFile:
         assert code == 0
         assert lines[2].split(",")[1] == "4"
 
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"], ["--conf={}"], ["--c", "{}"]])
+    def test_every_argparse_spelling_applies_the_file(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 3\n")
+        base = ["simulate", "--design", "2", "--n", "4", "--N", "100", "--grid-m", "100", "--seed", "1"]
+        want = run(capsys, base + ["--config", str(cfg)])
+        assert want[0] == 0 and want[1][2].split(",")[4] == "3"
+        assert run(capsys, base + [t.format(cfg) for t in spelling]) == want
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("design 2\n")
