@@ -262,16 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """Finds --config as argparse does, so --config=FILE and an abbreviation
+    such as --conf FILE count too; built once, like build_parser."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config")
+    return parser
+
+
 def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # a config file supplies defaults: splice its flags right after the
-    # subcommand so explicit flags, which come later, take precedence.  Its
-    # path is found as argparse finds it, so --config=FILE and an
-    # abbreviation such as --conf FILE count too
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
+    # subcommand so explicit flags, which come later, take precedence
     try:
-        config = pre.parse_known_args(argv)[0].config
+        config = _config_parser().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         print("error: --config needs a path", file=sys.stderr)
         return 2

@@ -282,7 +282,8 @@ class TestConfigFile:
         assert code == 0
         assert lines[2].split(",")[1] == "4"
 
-    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"], ["--conf={}"], ["--c", "{}"]])
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"], ["--conf={}"], ["--c", "{}"]],
+                             ids=["config=", "conf", "conf=", "c"])
     def test_every_argparse_spelling_applies_the_file(self, tmp_path, capsys, spelling):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("trials = 3\n")
