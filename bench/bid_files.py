@@ -4,10 +4,16 @@ and write the figures to BENCH_io.json.
     python bench/bid_files.py [--baseline DIR] [--repeats 11] [--seed 0]
                               [--out BENCH_io.json]
 
-Every case is one sample size N in {1e3, 1e4, 1e5}: N all-pay bids drawn
-from the uniform stair at n = 32 on the 10^4-point Beta(2, 2) grid, as the
-bid files of the ab_decide benchmark are.  A case reports, as medians over
-the repeats, every call of the case taking its turn in each repeat:
+Every case is one sample of all-pay bids under the uniform stair at n = 32:
+
+- "grid", N in {1e3, 1e4, 1e5}: N bids drawn from the curve on the
+  10^4-point Beta(2, 2) grid, as the bid files of the ab_decide benchmark
+  are, so they hold at most 10^4 + 1 distinct bids;
+- "distinct", N = 1e5: N uniform random bids, sorted, with no two equal,
+  as bids collected in the field are.
+
+A case reports, as medians over the repeats, every call of the case taking
+its turn in each repeat:
 
 - write_ms: write_bid_csv of the sample;
 - read_ms: read_bid_csv of the file as write_bid_csv left it, which loads
@@ -32,13 +38,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import auctionab as ab  # noqa: E402
 from estim_kernels import describe, load_package, medians, provenance  # noqa: E402
 
-SAMPLE_SIZES = (1_000, 10_000, 100_000)
+CASES = (("grid", 1_000), ("grid", 10_000), ("grid", 100_000), ("distinct", 100_000))
 N_AGENTS = 32
 SOURCE, TARGET = "uniform-stair", "k-unit:1"
 METRICS = ("write_ms", "read_ms", "parse_ms", "estimate_ms")
@@ -54,12 +62,19 @@ def estimate(pkg, path: Path) -> str:
     return out.getvalue()
 
 
-def run_case(pkgs: dict, N: int, seed: int, repeats: int, workdir: Path) -> dict:
+def draw_sample(pkg, kind: str, N: int, seed: int):
+    rule = pkg.parse_rule(SOURCE, N_AGENTS)
+    if kind == "grid":
+        return pkg.sample_bids(pkg.allpay_bid_curve(pkg.Beta22(), rule), N, seed)
+    return pkg.BidSample(pkg.ALL_PAY, rule, np.sort(np.random.default_rng(seed).random(N)))
+
+
+def run_case(pkgs: dict, kind: str, N: int, seed: int, repeats: int, workdir: Path) -> dict:
     calls, reads, printed = {}, {}, {}
     for name, pkg in pkgs.items():
-        rule = pkg.parse_rule(SOURCE, N_AGENTS)
-        sample = pkg.sample_bids(pkg.allpay_bid_curve(pkg.Beta22(), rule), N, seed)
-        written, parsed = workdir / f"{name}_{N}.csv", workdir / f"{name}_{N}_parse.csv"
+        sample = draw_sample(pkg, kind, N, seed)
+        rule, stem = sample.rule, f"{name}_{kind}_{N}"
+        written, parsed = workdir / f"{stem}.csv", workdir / f"{stem}_parse.csv"
         pkg.write_bid_csv(sample, written)
         pkg.write_bid_csv(sample, parsed)
         parsed.with_suffix(".npy").unlink(missing_ok=True)
@@ -67,12 +82,13 @@ def run_case(pkgs: dict, N: int, seed: int, repeats: int, workdir: Path) -> dict
         reads[name].append(sample.bids.tobytes())
         printed[name] = estimate(pkg, written)
         calls[name] = {
-            "write_ms": lambda pkg=pkg, s=sample, p=workdir / f"{name}_{N}_w.csv": pkg.write_bid_csv(s, p),
+            "write_ms": lambda pkg=pkg, s=sample, p=workdir / f"{stem}_w.csv": pkg.write_bid_csv(s, p),
             "read_ms": lambda pkg=pkg, r=rule, p=written: pkg.read_bid_csv(p, pkg.ALL_PAY, r),
             "parse_ms": lambda pkg=pkg, r=rule, p=parsed: pkg.read_bid_csv(p, pkg.ALL_PAY, r),
             "estimate_ms": lambda pkg=pkg, p=written: estimate(pkg, p),
         }
-    case = {"N": N, "n": N_AGENTS}
+    case = {"sample": kind, "N": N, "n": N_AGENTS,
+            "distinct_bids": int(np.unique(sample.bids).size)}
     # one loop over every call, so a change in the host's speed hits them all alike
     keys = [(metric, name) for metric in METRICS for name in pkgs]
     times = medians([calls[name][metric] for metric, name in keys], repeats, 1e3)
@@ -97,10 +113,10 @@ def main() -> int:
         pkgs["baseline"] = load_package(Path(args.baseline).resolve() / "src")
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        for N in SAMPLE_SIZES:
-            c = run_case(pkgs, N, args.seed, args.repeats, Path(tmp))
+        for kind, N in CASES:
+            c = run_case(pkgs, kind, N, args.seed, args.repeats, Path(tmp))
             cases.append(c)
-            print(f"N={N:<6d} " + "  ".join(
+            print(f"{kind:8s} N={N:<6d} " + "  ".join(
                 f"{m} " + " ".join(f"{k} {v:8.3f}" for k, v in c[m].items())
                 for m in METRICS)
                 + f"  same_bits {c['same_bits']}", flush=True)

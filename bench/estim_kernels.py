@@ -37,6 +37,7 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -70,10 +71,16 @@ def load_package(src: Path):
 
 
 def medians(calls, repeats: int, scale: float) -> list[float]:
-    """Median time of each call, the calls taking turns, in 1/scale s."""
+    """Median time of each call, the calls taking turns, in 1/scale s.
+    Each repeat takes them in a new order (seeded): a call pays for what the
+    call before it left behind, so in a fixed order one package's 1e3-bid
+    read always followed a file write and read 0.39 ms, against 0.30 ms for
+    the same code in the next slot."""
     times = [[] for _ in calls]
+    order, rng = list(zip(times, calls)), random.Random(0)
     for _ in range(repeats):
-        for t, call in zip(times, calls):
+        rng.shuffle(order)
+        for t, call in order:
             start = time.perf_counter()
             call()
             t.append(time.perf_counter() - start)

@@ -3,6 +3,7 @@ candidate revenues from the composite's bids, and decide revenue
 comparisons."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ def build_test_mechanism(design: ABDesign) -> AllocationRule:
 def revenue_verdict(p1: float, p2: float, alpha: float = 1.0) -> tuple[int, float]:
     """(verdict, margin) with margin = p1 - alpha * p2; verdict 1 iff
     margin > 0 (an exact tie keeps the incumbent answer 0)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     margin = p1 - alpha * p2
     return (1 if margin > 0 else 0), margin
 

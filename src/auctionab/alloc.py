@@ -460,15 +460,25 @@ def universal_b(n: int) -> PositionWeights:
 SLOPE_GRID = 10_001
 
 
+def slope_scan(rule: AllocationRule, lo: float = 0.0, hi: float = 1.0) -> tuple[float, np.ndarray]:
+    """(max_slope(rule), xprime at the SLOPE_GRID uniform quantiles clipped
+    into [lo, hi]) from one evaluation of xprime.  xprime is elementwise, so
+    the clipped values are those at lo, at hi and at the grid points."""
+    n = rule.n
+    k = np.concatenate([np.arange(k0, k1 + 1) for k0, k1, _ in rule._runs] or [[]])
+    peaks = [(n - k) / (n - 1)] + ([(n - 1 - k) / (n - 2)] if n > 2 else [])
+    q = np.linspace(0.0, 1.0, SLOPE_GRID)
+    v = rule.xprime(np.concatenate([q, *peaks, [lo, hi]]))
+    clipped = np.where(q < lo, v[-2], np.where(q > hi, v[-1], v[:SLOPE_GRID]))
+    return float(v[:-2].max()), clipped
+
+
 def max_slope(rule: AllocationRule) -> float:
     """sup_q xprime(q), over SLOPE_GRID uniform quantiles plus, for each
     multi-unit term k of the rule's runs, the point (n-k)/(n-1) and the
     maximizer (n-1-k)/(n-2) of q^(n-1-k) (1-q)^(k-1) (the grid alone can
     miss sharp peaks)."""
-    n = rule.n
-    k = np.concatenate([np.arange(k0, k1 + 1) for k0, k1, _ in rule._runs] or [[]])
-    peaks = [(n - k) / (n - 1)] + ([(n - 1 - k) / (n - 2)] if n > 2 else [])
-    return float(rule.xprime(np.concatenate([np.linspace(0.0, 1.0, SLOPE_GRID), *peaks])).max())
+    return slope_scan(rule)[0]
 
 
 def parse_rule(text: str, n: int) -> AllocationRule:

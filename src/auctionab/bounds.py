@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import SLOPE_GRID, AllocationRule, max_slope
+from .alloc import AllocationRule, slope_scan
 
 HEADLINE_CONSTANT = 40.0
 
@@ -43,10 +43,9 @@ class BoundInputs:
         """Suprema over SLOPE_GRID uniform quantiles clamped into
         [1/(2N), 1 - 1/(2N)], the interval where the estimator evaluates
         slopes (at its N+1 clamped cell edges); the slope suprema come from
-        max_slope over all of [0, 1]."""
-        q = np.clip(np.linspace(0.0, 1.0, SLOPE_GRID), 0.5 / N, 1.0 - 0.5 / N)
-        yp = y.xprime(q)
-        xp = x.xprime(q)
+        max_slope over all of [0, 1], in the same scan of each rule."""
+        sup_yprime, yp = slope_scan(y, 0.5 / N, 1.0 - 0.5 / N)
+        sup_xprime, xp = slope_scan(x, 0.5 / N, 1.0 - 0.5 / N)
         # a tiny positive slope overflows the ratio to inf, which the bound carries
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             down = np.where(xp > 0, yp / np.where(xp > 0, xp, 1.0), np.inf)
@@ -55,8 +54,8 @@ class BoundInputs:
         return cls(
             N=N,
             n=x.n,
-            sup_yprime=max_slope(y),
-            sup_xprime=max_slope(x),
+            sup_yprime=sup_yprime,
+            sup_xprime=sup_xprime,
             sup_inv_xprime=float(np.max(1.0 / np.maximum(xp, 1e-300))),
             ratio_up=up,
             ratio_down=float(np.max(down)),
@@ -130,8 +129,8 @@ def bound_universal(eps: float, N: int, n: int) -> float:
 def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float) -> float:
     """Upper bound on the misclassification probability of the revenue
     comparator: exp(-N a^2 / (alpha^2 n^3 log(n/eps)))."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if a < 0:
         raise ValueError("revenue gap must be nonnegative")
     return math.exp(-(N * a**2 / (alpha**2 * n**3 * math.log(n / eps))))

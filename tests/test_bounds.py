@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from auctionab.alloc import MultiUnit, mixture, uniform_stair
+from auctionab.alloc import SLOPE_GRID, MultiUnit, Position, PositionWeights, mixture, uniform_stair
 from auctionab.bounds import (
     BoundInputs,
     bound_allpay_k,
@@ -37,6 +39,52 @@ class TestBoundInputs:
     def test_design2_ratio_down_near_n_minus_one(self):
         bi = inputs_for(2, 32, 1000)
         assert 25 <= bi.ratio_down <= 31
+
+
+def four_scan_inputs(x, y, N):
+    """BoundInputs as from_rules built them with one xprime scan of each
+    rule on the clamped grid and another inside each max_slope."""
+    def max_slope(rule):
+        n = rule.n
+        k = np.concatenate([np.arange(k0, k1 + 1) for k0, k1, _ in rule._runs] or [[]])
+        peaks = [(n - k) / (n - 1)] + ([(n - 1 - k) / (n - 2)] if n > 2 else [])
+        return float(rule.xprime(np.concatenate([np.linspace(0.0, 1.0, SLOPE_GRID), *peaks])).max())
+
+    q = np.clip(np.linspace(0.0, 1.0, SLOPE_GRID), 0.5 / N, 1.0 - 0.5 / N)
+    yp, xp = y.xprime(q), x.xprime(q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        down = np.where(xp > 0, yp / np.where(xp > 0, xp, 1.0), np.inf)
+        up_mask = yp >= 1.0
+        up = float(np.max(xp[up_mask] / yp[up_mask])) if np.any(up_mask) else 0.0
+    return BoundInputs(N=N, n=x.n, sup_yprime=max_slope(y), sup_xprime=max_slope(x),
+                       sup_inv_xprime=float(np.max(1.0 / np.maximum(xp, 1e-300))),
+                       ratio_up=up, ratio_down=float(np.max(down)))
+
+
+@st.composite
+def rule_pairs(draw):
+    """Two position rules on one n, with runs of equal weights and drifting ones."""
+    n = draw(st.integers(2, 40))
+    value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return tuple(Position(PositionWeights(np.sort(draw(st.lists(value, min_size=n, max_size=n)))[::-1]))
+                 for _ in range(2))
+
+
+class TestOneSlopeScan:
+    @settings(max_examples=40, deadline=None)
+    @given(rule_pairs(), st.sampled_from([1, 2, 3, 10, 10_000, 100_000]))
+    def test_equals_four_scans(self, rules, N):
+        x, y = rules
+        assert BoundInputs.from_rules(x, y, N) == four_scan_inputs(x, y, N)
+
+    @pytest.mark.parametrize("design, n", [(1, 4), (2, 32), (3, 256), (2, 1024)])
+    def test_design_cells_equal_four_scans(self, design, n):
+        from auctionab.harness import design_rules
+
+        a, b = design_rules(design, n)
+        x = mixture(a, b, 0.001)
+        for N in (1, 2, 3, 10, 10_000, 100_000):
+            assert BoundInputs.from_rules(x, b, N) == four_scan_inputs(x, b, N)
 
 
 class TestAllPayBound:
@@ -118,6 +166,11 @@ class TestClassifierBound:
             bound_classifier(100, 8, 0.001, -1.0, 0.05)
         with pytest.raises(ValueError):
             bound_classifier(100, 8, 0.001, 1.0, -0.05)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.0, 0.0])
+    def test_alpha_not_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            bound_classifier(100, 8, 0.001, alpha, 0.05)
 
 
 class TestExpectedValueAndWelfareBounds:

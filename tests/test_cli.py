@@ -228,6 +228,17 @@ class TestCompare:
         assert captured.out == ""
         assert f"error: {message}" in captured.err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.0"])
+    def test_alpha_not_positive_and_finite_exits_one(self, capsys, alpha):
+        """nan once printed nan margins and bound, and inf -inf margins, with exit 0."""
+        code = cli_main(["compare", "--b1", "k-unit:2", "--b2", "k-unit:3", "--n", "4",
+                         "--N", "100", "--trials", "2", "--grid-m", "100", "--seed", "0",
+                         f"--alpha={alpha}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be positive and finite\n"
+
     def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
         argv = ["compare", "--b1", "k-unit:2", "--b2", "uniform-stair", "--n", "8",
                 "--N", "300", "--trials", "12", "--eps", "0.1", "--grid-m", "2000",

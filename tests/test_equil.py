@@ -1,5 +1,7 @@
 import json
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,9 +249,47 @@ class TestBidSample:
 
 
 SPECIAL_BIDS = [0.0, -0.0, 5e-324, 1e300, 1 / 3]
+#: sample sizes around one chunk and past three
+CHUNK_SIZES = st.sampled_from([1, 2]) | st.integers(CSV_CHUNK - 2, CSV_CHUNK + 2) \
+    | st.integers(3 * CSV_CHUNK, 3 * CSV_CHUNK + 5)
+
+
+@st.composite
+def tied_samples(draw):
+    """Sorted samples drawn with replacement from a small pool of bids that
+    holds the special ones, with -0.0 and 0.0 mixed in any order; or grid
+    samples of either format."""
+    N, seed = draw(CHUNK_SIZES), draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        fmt = draw(st.sampled_from([ALL_PAY, FIRST_PRICE]))
+        curve = bid_curve(fmt, Beta22(), uniform_stair(4), QuantileGrid(draw(st.integers(1, 300))))
+        return sample_bids(curve, N, seed)
+    extra = draw(st.lists(st.floats(0.0, 1e300), max_size=4))
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_BIDS + extra)[:draw(st.integers(1, len(SPECIAL_BIDS) + len(extra)))]
+    bids = np.sort(rng.choice(pool, N))
+    zeros = bids == 0.0
+    bids[zeros] = rng.choice([-0.0, 0.0], np.count_nonzero(zeros))
+    return BidSample(ALL_PAY, uniform_stair(4), bids)
 
 
 class TestCsvIo:
+    @settings(max_examples=30, deadline=None)
+    @given(tied_samples())
+    def test_tied_samples_write_savetxt_bytes(self, s):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "bids.csv", Path(tmp) / "ref.csv"
+            write_bid_csv(s, path)
+            np.savetxt(ref, s.bids, header="bid", comments="", fmt="%.17g")
+            csv = path.read_bytes()
+            assert csv == ref.read_bytes()
+            sidecar = json.loads(path.with_suffix(".json").read_text())
+            assert (sidecar["csv_bytes"], sidecar["csv_crc32"]) == (len(csv), zlib.crc32(csv))
+            copy = read_bid_csv(path, s.format, s.rule)
+            path.with_suffix(".npy").unlink()
+            parsed = read_bid_csv(path, s.format, s.rule)
+            assert copy.bids.tobytes() == parsed.bids.tobytes() == s.bids.tobytes()
+
     @pytest.mark.parametrize("N", [1, len(SPECIAL_BIDS), CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
                                    3 * CSV_CHUNK + 5])
     def test_bytes_equal_savetxt_and_read_back(self, tmp_path, N):
