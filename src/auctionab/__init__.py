@@ -47,10 +47,8 @@ from .equil import (
 from .estim import (
     DegenerateSourceError,
     EstimateReport,
-    estimate_expected_value,
-    estimate_multiunit_revenues,
+    estimate,
     estimate_revenue,
-    estimate_revenues,
     estimate_welfare,
 )
 from .bounds import (

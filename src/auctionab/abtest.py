@@ -11,7 +11,7 @@ import numpy as np
 from .alloc import AllocationRule, Mixture
 from .dist import ValueDistribution
 from .equil import ALL_PAY, BidSample
-from .estim import estimate_revenues
+from .estim import estimate
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def compare_revenues(
 ) -> tuple[int, float]:
     """Classify whether b1's revenue exceeds alpha times b2's: the
     revenue_verdict of the two estimates from the same sample."""
-    p1, p2 = estimate_revenues(sample, x, (b1, b2)).tolist()
+    p1, p2 = estimate(sample, x, (b1, b2)).tolist()
     return revenue_verdict(p1, p2, alpha)
 
 
@@ -80,7 +80,7 @@ def best_of_r(
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("need at least two candidates")
-    estimates = estimate_revenues(sample, x, candidates)
+    estimates = estimate(sample, x, candidates)
     scaled = estimates.copy()
     scaled[1:] *= alpha
     return int(np.argmax(scaled)), estimates

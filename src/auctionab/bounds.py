@@ -133,7 +133,9 @@ def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float) -> floa
         raise ValueError("alpha must be positive and finite")
     if a < 0:
         raise ValueError("revenue gap must be nonnegative")
-    return math.exp(-(N * a**2 / (alpha**2 * n**3 * math.log(n / eps))))
+    # float * and / saturate to inf or 0 at extreme alpha where ** would raise
+    r = a / alpha
+    return math.exp(-(N * (r * r) / (n**3 * math.log(n / eps))))
 
 
 def bound_welfare(eps: float, N: int, n: int) -> float:

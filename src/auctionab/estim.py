@@ -1,18 +1,19 @@
 """Counterfactual estimators: revenue, expected value, and welfare of a
 target auction from bids observed in equilibrium of a different auction.
 
-Each estimate applies a kernel K on the cell edges q = i/N to the sorted
-bids b_1..b_N by summation by parts: the sum over i = 0..N of
+estimate(sample, x, targets, measure) is the one entry point.  For each
+target it applies a kernel K on the cell edges q = i/N to the sorted bids
+b_1..b_N by summation by parts: the sum over i = 0..N of
 K_i (b_{i+1} - b_i), with b_0 = b_{N+1} = 0.  Only the edges where the bids
 change enter it, so the rules are evaluated there alone.  With source x and
 target y, K is Z = (1-q) y'/x' for all-pay revenue, -F for first-price
 revenue (F = (1-q) y + int_0^q y - x Z, whose increments integrate -x Z'
 exactly over each bid's cell), and y/x' for the all-pay welfare of
-position rule y (SourceGrid.welfare_kernel), which for the rule that serves
-every agent, y = 1, is the expected value.  Gathered per bid, the sum is
-the weight form sum_i (K_{i-1} - K_i) b_i that the Monte Carlo trials use;
-where 1/x' spans many decades that form cancels to rounding noise on tied
-bids.
+position rule y (measure="welfare", SourceGrid.welfare_kernel), which for
+the rule that serves every agent, y = 1, is the expected value.  Gathered
+per bid, the sum is the weight form sum_i (K_{i-1} - K_i) b_i that the
+Monte Carlo trials use; where 1/x' spans many decades that form cancels to
+rounding noise on tied bids.
 
 DegenerateSourceError is raised only at an edge the estimate uses, where x'
 vanishes and the kernel's numerator does not, so a source that is flat only
@@ -20,12 +21,12 @@ where the bids tie estimates without error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .alloc import AllocationRule, MultiUnit, Position, PositionWeights
+from .alloc import AllocationRule, Position, PositionWeights
 from .equil import ALL_PAY, FIRST_PRICE, BidSample
 
 #: derivatives at or below this are treated as exact zeros
@@ -46,24 +47,9 @@ class DegenerateSourceError(ValueError):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with optional theoretical bound and run metadata."""
+    """A point estimate."""
 
     point: float
-    bound: Optional[float] = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.bound is not None and self.bound < 0:
-            raise ValueError("error bound must be nonnegative")
-
-    def csv_row(self) -> str:
-        """The estimate row: with no ground truth, its truth and abs_error
-        cells are empty."""
-        m = self.meta
-        bd = "" if self.bound is None else f"{self.bound:.10g}"
-        return ",".join(
-            str(m.get(k, "")) for k in ("design", "format", "n", "N", "eps", "seed")
-        ) + f",{self.point:.10g},,,{bd}"
 
 
 class SourceGrid:
@@ -146,46 +132,24 @@ def _bid_steps(sample: BidSample, x: AllocationRule) -> tuple[SourceGrid, np.nda
     return SourceGrid(sample.format, x, sample.size, edges), steps[edges]
 
 
-def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule, **meta) -> EstimateReport:
-    """Per-agent revenue of target rule y from bids under source x, by the
-    kernel of the sample's payment format (SourceGrid.kernel)."""
-    return EstimateReport(
-        float(estimate_revenues(sample, x, (y,))[0]),
-        meta={"format": sample.format, "n": x.n, "N": sample.size,
-              "source": x.describe(), "target": y.describe(), **meta},
-    )
-
-
-def estimate_revenues(sample: BidSample, x: AllocationRule, ys) -> np.ndarray:
-    """The revenue of each target in ys from one sample under source x: the
-    points of estimate_revenue, bit for bit, with x evaluated once."""
+def estimate(sample: BidSample, x: AllocationRule, targets, measure: str = "revenue") -> np.ndarray:
+    """The per-agent revenue of each target rule, or with measure="welfare"
+    its all-pay welfare (the rule that serves every agent gives the expected
+    value), from one sample under source x: each target's kernel
+    (SourceGrid.kernel or welfare_kernel) dotted with the bid increments."""
+    if measure not in ("revenue", "welfare"):
+        raise ValueError(f"unknown measure {measure!r}: use revenue or welfare")
     grid, steps = _bid_steps(sample, x)
-    return np.array([float(grid.kernel(y) @ steps) for y in ys])
+    kernel = grid.kernel if measure == "revenue" else grid.welfare_kernel
+    return np.array([float(kernel(y) @ steps) for y in targets])
 
 
-def estimate_multiunit_revenues(sample: BidSample, x: AllocationRule) -> np.ndarray:
-    """P_hat_k for k = 1..n-1, each from the format-appropriate estimator
-    with the highest-k-bids-win rule as target."""
-    return estimate_revenues(sample, x, [MultiUnit(k, x.n) for k in range(1, x.n)])
+def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule) -> EstimateReport:
+    """Per-agent revenue of target rule y from bids under source x."""
+    return EstimateReport(float(estimate(sample, x, [y])[0]))
 
 
-def estimate_expected_value(sample: BidSample, x: AllocationRule, **meta) -> EstimateReport:
-    """Mean agent value from all-pay bids: the welfare of serving every
-    agent (SourceGrid.welfare_kernel)."""
-    grid, steps = _bid_steps(sample, x)
-    return EstimateReport(
-        float(grid.welfare_kernel(MultiUnit(x.n, x.n)) @ steps),
-        meta={"format": ALL_PAY, "n": x.n, "N": sample.size, "source": x.describe(), **meta},
-    )
-
-
-def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights, **meta) -> EstimateReport:
+def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights) -> EstimateReport:
     """Per-agent social welfare of the position auction with weights w from
-    all-pay bids (SourceGrid.welfare_kernel)."""
-    y = Position(w)
-    grid, steps = _bid_steps(sample, x)
-    return EstimateReport(
-        float(grid.welfare_kernel(y) @ steps),
-        meta={"format": sample.format, "n": x.n, "N": sample.size,
-              "source": x.describe(), "target": y.describe(), **meta},
-    )
+    all-pay bids under source x."""
+    return EstimateReport(float(estimate(sample, x, [Position(w)], "welfare")[0]))

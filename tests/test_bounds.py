@@ -172,6 +172,12 @@ class TestClassifierBound:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             bound_classifier(100, 8, 0.001, alpha, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_alpha_stays_in_unit_interval(self, alpha):
+        """alpha**2 overflows at 1e200 and underflows to a zero divisor at
+        1e-200; the bound must saturate to 0 or 1 instead of raising."""
+        assert 0.0 <= bound_classifier(100, 8, 0.001, alpha, 0.05) <= 1.0
+
 
 class TestExpectedValueAndWelfareBounds:
     def test_expected_value_positive_and_shrinking(self):

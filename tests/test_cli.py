@@ -239,6 +239,18 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: alpha must be positive and finite\n"
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-200", "1e200", "1e300"])
+    def test_extreme_alpha_prints_a_table(self, capsys, alpha):
+        """alpha**2 would overflow at 1e200 and vanish at 1e-200: the run
+        must still print its eight lines, with no traceback and no nan."""
+        code = cli_main(["compare", "--b1", "k-unit:2", "--b2", "k-unit:3", "--n", "4",
+                         "--N", "50", "--trials", "4", "--grid-m", "50", "--seed", "0",
+                         f"--alpha={alpha}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert "nan" not in captured.out and len(captured.out.splitlines()) == 8
+
     def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
         argv = ["compare", "--b1", "k-unit:2", "--b2", "uniform-stair", "--n", "8",
                 "--N", "300", "--trials", "12", "--eps", "0.1", "--grid-m", "2000",

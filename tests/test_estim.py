@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import auctionab
 from auctionab.abtest import best_of_r, compare_revenues, revenue_verdict
 from auctionab.alloc import (
     MultiUnit,
@@ -19,22 +20,23 @@ from auctionab.alloc import (
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, expected_value, true_revenue
 from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, allpay_bid_curve, bid_curve, sample_bids
 from auctionab.harness import trial_estimates
-from auctionab.estim import (
-    DegenerateSourceError,
-    EstimateReport,
-    SourceGrid,
-    estimate_expected_value,
-    estimate_multiunit_revenues,
-    estimate_revenue,
-    estimate_revenues,
-    estimate_welfare,
-)
+from auctionab.estim import DegenerateSourceError, SourceGrid, estimate, estimate_revenue, estimate_welfare
 
 GRID = QuantileGrid(10_000)
 
 
 def allpay_sample(dist, rule, N, seed, grid=GRID):
     return sample_bids(allpay_bid_curve(dist, rule, grid), N, seed)
+
+
+def mean_value(sample, x):
+    """The expected value: the welfare of the rule that serves every agent."""
+    return estimate(sample, x, [MultiUnit(x.n, x.n)], "welfare")[0]
+
+
+def multiunit_revenues(sample, x):
+    """P_hat_k for k = 1..n-1, the revenues of the highest-k-bids-win rules."""
+    return estimate(sample, x, [MultiUnit(k, x.n) for k in range(1, x.n)])
 
 
 class TestExactIdentities:
@@ -114,7 +116,7 @@ class TestAllPayEstimator:
             SourceGrid(fmt, x, 100).weights(y)
         assert np.isfinite(estimate_revenue(s, x, y).point)
         if fmt == ALL_PAY:
-            assert np.isfinite(estimate_expected_value(s, x).point)
+            assert np.isfinite(mean_value(s, x))
 
     @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
     def test_flat_edge_with_a_bid_step_raises_there(self, fmt):
@@ -141,7 +143,7 @@ class TestAllPayEstimator:
         s = BidSample(ALL_PAY, x, np.linspace(0.1, 0.5, 20))
         with pytest.raises(DegenerateSourceError, match=r"q=0\.025$"):
             estimate_revenue(s, x, uniform_stair(200))
-        assert np.isfinite(estimate_expected_value(s, x).point)
+        assert np.isfinite(mean_value(s, x))
 
     def test_degenerate_source_error_pickles(self):
         e = pickle.loads(pickle.dumps(DegenerateSourceError(0.5)))
@@ -196,7 +198,7 @@ class TestMultiUnitVector:
     def test_vector_matches_individual_estimates(self):
         x = Position(universal_b(8))
         s = allpay_sample(Beta22(), x, 2000, 5)
-        vec = estimate_multiunit_revenues(s, x)
+        vec = multiunit_revenues(s, x)
         assert len(vec) == 7
         for k in (1, 4, 7):
             assert vec[k - 1] == estimate_revenue(s, x, MultiUnit(k, 8)).point
@@ -230,19 +232,19 @@ class TestMultiTarget:
     def test_equal_to_loop_of_single_estimates(self, case, alpha):
         s, x, ys = case
         loop = [estimate_revenue(s, x, y).point for y in ys]
-        assert estimate_revenues(s, x, ys).tolist() == loop
+        assert estimate(s, x, ys).tolist() == loop
         idx, est = best_of_r(s, x, ys, alpha)
         assert est.tolist() == loop
         assert idx == int(np.argmax([loop[0]] + [alpha * p for p in loop[1:]]))
         assert compare_revenues(s, x, ys[0], ys[1], alpha) == revenue_verdict(loop[0], loop[1], alpha)
         units = [MultiUnit(k, x.n) for k in range(1, x.n)]
         pk = [estimate_revenue(s, x, y).point for y in units]
-        assert estimate_multiunit_revenues(s, x).tolist() == pk
+        assert multiunit_revenues(s, x).tolist() == pk
         if s.format == ALL_PAY:
             # SW = w_1 vbar - sum_k (w_1 - w_{k+1}) P_k / k, each term summed
             # by parts on the full grid of edges
             w = ys[0].weights
-            vbar = estimate_expected_value(s, x).point
+            vbar = mean_value(s, x)
             c = (w.w[0] - w.w[1:]) / np.arange(1, w.n)
             want = float(w.w[0] * vbar - np.sum(c * np.array(pk)))
             grid = SourceGrid(ALL_PAY, x, s.size)
@@ -284,7 +286,7 @@ class TestIncrementForm:
             # the expected value's weights keep both boundary terms
             z = 1.0 / grid.xp
             terms = np.concatenate([(z[:-1] - z[1:]) * bids, [z[-1] * bids[-1], -z[0] * bids[0]]])
-            assert abs(estimate_expected_value(s, x).point - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+            assert abs(mean_value(s, x) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
             # serving every agent, the welfare kernel is 1/x' inside, 0 at the ends
             inner = (grid.q > 0.0) & (grid.q < 1.0)
             np.testing.assert_array_equal(grid.welfare_kernel(MultiUnit(n, n)), np.where(inner, z, 0.0))
@@ -298,7 +300,7 @@ class TestIncrementForm:
         curve = allpay_bid_curve(Beta22(), x, GRID)
         for seed in range(5):
             s = sample_bids(curve, 10_000, seed)
-            for est in (estimate_expected_value(s, x).point,
+            for est in (mean_value(s, x),
                         estimate_welfare(s, x, uniform_stair_weights(n)).point):
                 assert np.isfinite(est) and 0.0 <= est < 1.0
 
@@ -307,7 +309,7 @@ class TestExpectedValue:
     def test_uniform_stair_source_reduces_to_boundary(self):
         # x' = 1 so the telescoping weights vanish; estimate = max - min bid
         s = allpay_sample(Uniform01(), uniform_stair(2), 10_000, 2)
-        est = estimate_expected_value(s, uniform_stair(2)).point
+        est = mean_value(s, uniform_stair(2))
         assert est == pytest.approx(s.bids[-1] - s.bids[0])
         assert est == pytest.approx(0.5, abs=2e-3)
 
@@ -316,7 +318,7 @@ class TestExpectedValue:
         x = mixture(MultiUnit(7, 8), MultiUnit(1, 8), 0.001)
         curve = allpay_bid_curve(d, x, GRID)
         est = np.mean(
-            [estimate_expected_value(sample_bids(curve, 100_000, np.random.SeedSequence((25, t))), x).point
+            [mean_value(sample_bids(curve, 100_000, np.random.SeedSequence((25, t))), x)
              for t in range(20)]
         )
         assert est == pytest.approx(expected_value(d, GRID), abs=5e-3)
@@ -324,7 +326,7 @@ class TestExpectedValue:
     def test_requires_allpay(self):
         s = sample_bids(bid_curve(FIRST_PRICE, Uniform01(), uniform_stair(4), GRID), 100, 0)
         with pytest.raises(ValueError):
-            estimate_expected_value(s, uniform_stair(4))
+            mean_value(s, uniform_stair(4))
 
 
 class TestWelfare:
@@ -332,7 +334,7 @@ class TestWelfare:
         w = PositionWeights([1.0, 1.0, 1.0, 1.0])
         x = Position(universal_b(4))
         s = allpay_sample(Beta22(), x, 5000, 6)
-        assert estimate_welfare(s, x, w).point == estimate_expected_value(s, x).point
+        assert estimate_welfare(s, x, w).point == mean_value(s, x)
 
     def test_one_unit_two_uniform_agents(self):
         w = PositionWeights([1.0, 0.0])
@@ -355,7 +357,7 @@ class TestAgentCounts:
 
     @pytest.mark.parametrize("call", [
         lambda s, x, y: estimate_revenue(s, x, y),
-        lambda s, x, y: estimate_revenues(s, x, (MultiUnit(1, 8), y)),
+        lambda s, x, y: estimate(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: best_of_r(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: compare_revenues(s, x, MultiUnit(1, 8), y),
         lambda s, x, y: estimate_welfare(s, x, y.weights),
@@ -370,8 +372,8 @@ class TestAgentCounts:
 
     @pytest.mark.parametrize("call", [
         lambda s, x: estimate_revenue(s, x, x),
-        lambda s, x: estimate_multiunit_revenues(s, x),
-        lambda s, x: estimate_expected_value(s, x),
+        lambda s, x: multiunit_revenues(s, x),
+        lambda s, x: mean_value(s, x),
         lambda s, x: estimate_welfare(s, x, x.weights),
     ], ids=["estimate_revenue", "estimate_multiunit_revenues", "estimate_expected_value",
             "estimate_welfare"])
@@ -380,12 +382,24 @@ class TestAgentCounts:
             call(self.SAMPLE, self.OTHER)
 
 
-class TestEstimateReport:
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            EstimateReport(0.1, bound=-1.0)
+class TestEntryPoint:
+    """estimate_revenue and estimate_welfare are one-target views of estimate."""
 
-    def test_csv_row_layout(self):
-        r = EstimateReport(0.25, meta={"design": 2, "format": ALL_PAY, "n": 4, "N": 100, "eps": 0.001, "seed": 7})
-        assert r.csv_row() == "2,allpay,4,100,0.001,7,0.25,,,"
-        assert EstimateReport(0.25, bound=0.5).csv_row() == ",,,,,,0.25,,,0.5"
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_estimate_revenue_is_estimate(self, fmt):
+        x, y = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5), MultiUnit(3, 8)
+        s = sample_bids(bid_curve(fmt, Beta22(), x, GRID), 500, 4)
+        got = auctionab.estimate_revenue(s, x, y).point
+        assert got.hex() == float(estimate(s, x, [y])[0]).hex()
+
+    def test_estimate_welfare_is_welfare_measure(self):
+        x, w = Position(universal_b(8)), uniform_stair_weights(8)
+        s = allpay_sample(Beta22(), x, 500, 4)
+        got = auctionab.estimate_welfare(s, x, w).point
+        assert got.hex() == float(estimate(s, x, [Position(w)], "welfare")[0]).hex()
+
+    @pytest.mark.parametrize("measure", ["Revenue", "expected_value", ""])
+    def test_unknown_measure_rejected(self, measure):
+        x = uniform_stair(4)
+        with pytest.raises(ValueError, match="unknown measure"):
+            estimate(allpay_sample(Uniform01(), x, 50, 0), x, [x], measure)
