@@ -64,7 +64,7 @@ from .bounds import (
     bound_welfare,
     normalized_table_bound,
 )
-from .abtest import ABDesign, best_of_r, build_test_mechanism, compare_revenues
+from .abtest import best_of_r, compare_revenues
 from .harness import (
     ExperimentSpec,
     MadResult,

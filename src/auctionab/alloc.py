@@ -30,6 +30,26 @@ class DegenerateRuleError(ValueError):
     (e.g. its derivative vanishes where an estimator must divide by it)."""
 
 
+#: the numeric inputs the library and the CLI accept: name -> (test, message);
+#: NaN fails every test
+LIMITS = {
+    "n": (lambda v: v >= 2, "need at least 2 agents (n >= 2)"),
+    "N": (lambda v: v >= 1, "sample size N must be at least 1"),
+    "trials": (lambda v: v >= 1, "trials must be at least 1"),
+    "grid_m": (lambda v: v >= 1, "grid_m must be at least 1"),
+    "eps": (lambda v: 0.0 < v <= 1.0, "eps must lie in (0, 1]"),
+    "alpha": (lambda v: 0.0 < v < math.inf, "alpha must be positive and finite"),
+}
+
+
+def check(name: str, value):
+    """value, if it passes LIMITS[name]; otherwise ValueError with its message."""
+    test, message = LIMITS[name]
+    if not test(value):
+        raise ValueError(message)
+    return value
+
+
 def _as_array(q):
     q = np.asarray(q, dtype=float)
     if np.any((q < 0.0) | (q > 1.0)):
@@ -388,8 +408,7 @@ class AllocationRule:
 
 def MultiUnit(k: int, n: int) -> AllocationRule:
     """Highest-k-bids-win auction with n agents."""
-    if n < 2:
-        raise ValueError("need at least 2 agents")
+    check("n", n)
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
     return AllocationRule(np.arange(n) < k, int(k))
@@ -421,17 +440,12 @@ def Mixture(components) -> AllocationRule:
 
 def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:
     """The test mechanism (1-eps)*a + eps*b."""
-    if a.n != b.n:
-        raise ValueError(f"agent counts differ: {a.n} vs {b.n}")
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("mixture weight must lie in [0, 1]")
     return Mixture(((1.0 - eps, a), (eps, b)))
 
 
 def uniform_stair_weights(n: int) -> PositionWeights:
     """w_k = (n-k)/(n-1); the induced allocation rule is x(q) = q."""
-    if n < 2:
-        raise ValueError("need at least 2 agents")
+    check("n", n)
     k = np.arange(1, n + 1)
     return PositionWeights((n - k) / (n - 1))
 

@@ -4,6 +4,8 @@ can be reported next to its guarantee.
 Every asymptotic O(1) constant is 1 and the headline multiplicative
 constant is 40, as in the paper's bounds.  Logarithm arguments are floored
 at e so a bound never goes negative when source and target nearly coincide.
+Logs of n/eps and 1/eps are taken as differences of logs, which stay finite
+where the quotients overflow (subnormal eps).
 """
 from __future__ import annotations
 
@@ -12,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import AllocationRule, slope_scan
+from .alloc import AllocationRule, check, slope_scan
 
 HEADLINE_CONSTANT = 40.0
 
 
 def _floored_log(v: float) -> float:
     return math.log(max(v, math.e))
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,7 @@ class BoundInputs:
         [1/(2N), 1 - 1/(2N)], the interval where the estimator evaluates
         slopes (at its N+1 clamped cell edges); the slope suprema come from
         max_slope over all of [0, 1], in the same scan of each rule."""
+        check("N", N)
         sup_yprime, yp = slope_scan(y, 0.5 / N, 1.0 - 0.5 / N)
         sup_xprime, xp = slope_scan(x, 0.5 / N, 1.0 - 0.5 / N)
         # a tiny positive slope overflows the ratio to inf, which the bound carries
@@ -105,7 +103,7 @@ def bound_expected_value(N: int, n: int, sup_xprime: float, sup_inv_xprime: floa
 def bound_ideal_ab(eps: float, N: int, sup_yprime: float) -> float:
     """Error of the ideal split test that sees only eps*N treatment bids:
     (1/sqrt(eps)) sup y'/sqrt(N)."""
-    _check_eps(eps)
+    check("eps", eps)
     return 1.0 / math.sqrt(eps) * sup_yprime / math.sqrt(N)
 
 
@@ -113,39 +111,39 @@ def bound_mixture(eps: float, N: int, n: int, sup_yprime: float, multi_unit: boo
     """Error of estimating the treatment rule's revenue from bids of the
     (1-eps)/eps mixture.  General targets pay an extra sqrt(n log n) factor;
     multi-unit targets get the 40 log(n/eps) form."""
-    _check_eps(eps)
+    check("eps", eps)
     if multi_unit:
-        return HEADLINE_CONSTANT * math.log(n / eps) * sup_yprime / math.sqrt(N)
-    return math.sqrt(n * math.log(n)) * math.log(n / eps) * sup_yprime / math.sqrt(N)
+        return HEADLINE_CONSTANT * (math.log(n) - math.log(eps)) * sup_yprime / math.sqrt(N)
+    return math.sqrt(n * math.log(n)) * (math.log(n) - math.log(eps)) * sup_yprime / math.sqrt(N)
 
 
 def bound_universal(eps: float, N: int, n: int) -> float:
     """Simultaneous error over all multi-unit revenues when the universal
     treatment mechanism is mixed in: 40 n (n + log(1/eps))/sqrt(N)."""
-    _check_eps(eps)
-    return HEADLINE_CONSTANT * n * (n + math.log(1.0 / eps)) / math.sqrt(N)
+    check("eps", eps)
+    return HEADLINE_CONSTANT * n * (n - math.log(eps)) / math.sqrt(N)
 
 
 def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float) -> float:
     """Upper bound on the misclassification probability of the revenue
     comparator: exp(-N a^2 / (alpha^2 n^3 log(n/eps)))."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    check("eps", eps)
+    check("alpha", alpha)
     if a < 0:
         raise ValueError("revenue gap must be nonnegative")
     # float * and / saturate to inf or 0 at extreme alpha where ** would raise
     r = a / alpha
-    return math.exp(-(N * (r * r) / (n**3 * math.log(n / eps))))
+    return math.exp(-(N * (r * r) / (n**3 * (math.log(n) - math.log(eps)))))
 
 
 def bound_welfare(eps: float, N: int, n: int) -> float:
     """Per-agent social-welfare error with the universal treatment mix:
     40 n log n (n + log(1/eps))/sqrt(N) + 40 sqrt(n log n) log(n/eps)/sqrt(N)
     + n/(eps N)."""
-    _check_eps(eps)
+    check("eps", eps)
     ln_n = math.log(n)
-    lead = HEADLINE_CONSTANT * n * ln_n * (n + math.log(1.0 / eps)) / math.sqrt(N)
-    mid = HEADLINE_CONSTANT * math.sqrt(n * ln_n) * math.log(n / eps) / math.sqrt(N)
+    lead = HEADLINE_CONSTANT * n * ln_n * (n - math.log(eps)) / math.sqrt(N)
+    mid = HEADLINE_CONSTANT * math.sqrt(n * ln_n) * (ln_n - math.log(eps)) / math.sqrt(N)
     return lead + mid + n / (eps * N)
 
 
@@ -160,7 +158,7 @@ def normalized_table_bound(design: int, n: int, eps: float) -> float:
     """
     c = HEADLINE_CONSTANT / 30.0
     if design == 1:
-        return c * math.sqrt(n * math.log(n)) / n * math.log(max(float(n) ** 3, 1.0 / eps))
+        return c * math.sqrt(n * math.log(n)) / n * max(3.0 * math.log(n), -math.log(eps))
     if design in (2, 3):
-        return c * math.log(1.0 / eps)
+        return c * (0.0 - math.log(eps))  # not -0.0 at eps = 1
     raise ValueError(f"unknown design {design}")

@@ -13,8 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .abtest import ABDesign, build_test_mechanism, revenue_verdict
-from .alloc import DegenerateRuleError, max_slope, mixture, parse_rule
+from .abtest import revenue_verdict
+from .alloc import LIMITS, DegenerateRuleError, Mixture, check, max_slope, mixture, parse_rule
 from .bounds import (
     BoundInputs,
     bound_allpay_k,
@@ -81,11 +81,6 @@ def _sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default=ALL_PAY, choices=(ALL_PAY, FIRST_PRICE))
 
 
-def _check_sample_size(N: int) -> None:
-    if N < 1:
-        raise ValueError("sample size N must be at least 1")
-
-
 def cmd_simulate(args) -> list[str]:
     spec = ExperimentSpec(
         design=args.design, n=args.n, N=args.N, eps=args.eps, trials=args.trials,
@@ -101,7 +96,7 @@ def cmd_sweep(args) -> list[str]:
         design=args.design, n=args.n, N=args.N, trials=args.trials,
         grid_m=args.grid_m, dist=args.dist, format=args.format, seed=args.seed,
     )
-    eps_list = [float(v) for v in args.eps_list.split(",")]
+    eps_list = [check("eps", float(v)) for v in args.eps_list.split(",")]
     rows = epsilon_sweep(spec, eps_list)
     out = ["# auctionab-sweep-v1", "design,n,N,trials,seed,eps,rel_median_abs_error"]
     for eps, err in rows:
@@ -126,25 +121,20 @@ def cmd_estimate(args) -> list[str]:
 
 
 def cmd_compare(args) -> list[str]:
-    _check_sample_size(args.N)
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (0.0 < args.eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    n = args.n
+    n, eps = args.n, args.eps
     incumbent = parse_rule(args.incumbent, n)
     b1 = parse_rule(args.b1, n)
     b2 = parse_rule(args.b2, n)
     grid = QuantileGrid(args.grid_m)
-    design = ABDesign(incumbent, ((args.eps / 2, b1), (args.eps / 2, b2)),
-                      make_distribution(args.dist), args.format)
-    test = build_test_mechanism(design)
-    curve = bid_curve(design.format, design.dist, test, grid)
-    p1, p2 = true_revenue(design.dist, b1, grid), true_revenue(design.dist, b2, grid)
+    dist = make_distribution(args.dist)
+    # the test mechanism: the incumbent, with each candidate at weight eps/2
+    test = Mixture(((1.0 - eps, incumbent), (eps / 2, b1), (eps / 2, b2)))
+    curve = bid_curve(args.format, dist, test, grid)
+    p1, p2 = true_revenue(dist, b1, grid), true_revenue(dist, b2, grid)
     true_verdict = 1 if p1 > args.alpha * p2 else 0
     gap = abs(p1 - args.alpha * p2)
     sup_y = max(max_slope(b1), max_slope(b2))
-    cls_bound = bound_classifier(args.N, n, args.eps, args.alpha, gap)
+    cls_bound = bound_classifier(args.N, n, eps, args.alpha, gap)
     out = [
         "# auctionab-compare-v1",
         "trial,verdict,margin,true_verdict,classifier_bound",
@@ -161,7 +151,6 @@ def cmd_compare(args) -> list[str]:
 
 
 def cmd_bounds(args) -> list[str]:
-    _check_sample_size(args.N)
     a, b = design_rules(args.design, args.n)
     c = mixture(a, b, args.eps)
     inputs = BoundInputs.from_rules(c, b, args.N)
@@ -176,14 +165,18 @@ def cmd_bounds(args) -> list[str]:
         ("welfare", bound_welfare(args.eps, args.N, args.n)),
         ("normalized_table", normalized_table_bound(args.design, args.n, args.eps)),
     ]
+    for name, v in rows:
+        if not math.isfinite(v):
+            raise ValueError(f"the {name} bound {v:.10g} is not finite")
     out = ["# auctionab-bounds-v1", "design,n,N,eps,bound_name,value"]
     out += [f"{args.design},{args.n},{args.N},{args.eps:g},{name},{v:.10g}" for name, v in rows]
     return out
 
 
 def cmd_table(args) -> list[str]:
-    ns = [int(v) for v in args.ns.split(",")] if args.ns else None
-    sizes = [int(v) for v in args.sample_sizes.split(",")] if args.sample_sizes else None
+    # every cell's n and N are checked before the first cell runs
+    ns = [check("n", int(v)) for v in args.ns.split(",")] if args.ns else None
+    sizes = [check("N", int(v)) for v in args.sample_sizes.split(",")] if args.sample_sizes else None
     out = [CSV_SCHEMA, CSV_HEADER]
     for spec, result in full_table(args.design, args.seed, eps=args.eps,
                                    trials=args.trials, ns=ns, sample_sizes=sizes):
@@ -291,6 +284,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every numeric flag named in LIMITS, in namespace order
+        for name, value in vars(args).items():
+            if name in LIMITS:
+                check(name, value)
         _emit(args.func(args), args.out)
     except DegenerateSourceError as exc:
         print(f"error [estim]: {exc}", file=sys.stderr)

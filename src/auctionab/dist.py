@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import AllocationRule, Position, PositionWeights
+from .alloc import AllocationRule, Position, PositionWeights, check
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class QuantileGrid:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("grid needs at least one cell")
+        check("grid_m", self.m)
 
     @property
     def q(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import AllocationRule, DegenerateRuleError, read_only
+from .alloc import AllocationRule, DegenerateRuleError, check, read_only
 from .dist import DEFAULT_GRID, QuantileGrid, ValueDistribution, grid_values
 
 ALL_PAY = "allpay"
@@ -84,8 +84,7 @@ class BidCurve:
         - gather and sort (any other curve): the bids themselves are
           sorted, which is the definition.
         """
-        if N < 1:
-            raise ValueError("sample size must be positive")
+        check("N", N)
         b = self.b
         rng = np.random.default_rng(seed)
         if not self.ordered:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alloc import AllocationRule, MultiUnit, mixture, uniform_stair
+from .alloc import AllocationRule, MultiUnit, check, mixture, uniform_stair
 from .dist import QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
 from .estim import SourceGrid
@@ -49,16 +49,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 agents (n >= 2)")
-        if self.N < 1:
-            raise ValueError("sample size N must be at least 1")
-        if self.grid_m < 1:
-            raise ValueError("grid_m must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
+        for name in ("n", "N", "grid_m", "trials", "eps"):
+            check(name, getattr(self, name))
 
     def rules(self) -> tuple[AllocationRule, AllocationRule]:
         return design_rules(self.design, self.n)
@@ -190,9 +182,10 @@ def epsilon_sweep(spec: ExperimentSpec, eps_list) -> list[tuple[float, float]]:
     mixture weight."""
     rows = []
     for eps in eps_list:
-        if not (0.0 < eps < 1.0):
-            raise ValueError("eps values must lie in (0, 1)")
         truth, est = _cell(replace(spec, eps=float(eps)))
+        if truth == 0:
+            raise ValueError(f"the true revenue is 0 on a grid of {spec.grid_m} cells, "
+                             "so the relative error is undefined")
         rows.append((float(eps), float(np.median(np.abs(est - truth)) / truth)))
     return rows
 

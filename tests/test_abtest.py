@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from auctionab.abtest import ABDesign, best_of_r, build_test_mechanism, compare_revenues
-from auctionab.alloc import MultiUnit, Position, universal_b, uniform_stair
+from auctionab.abtest import best_of_r, compare_revenues
+from auctionab.alloc import MultiUnit, Position, universal_b
 from auctionab.dist import Beta22, QuantileGrid, true_revenue
 from auctionab.equil import allpay_bid_curve, sample_bids
 
@@ -13,28 +13,6 @@ def universal_sample(n, N, seed):
     x = Position(universal_b(n))
     curve = allpay_bid_curve(Beta22(), x, GRID)
     return x, sample_bids(curve, N, seed)
-
-
-class TestABDesign:
-    def test_eps_is_candidate_mass(self):
-        d = ABDesign(uniform_stair(4), ((0.02, MultiUnit(1, 4)), (0.03, MultiUnit(2, 4))), Beta22())
-        assert d.eps == pytest.approx(0.05)
-        assert d.n == 4
-
-    def test_mechanism_weights(self):
-        d = ABDesign(uniform_stair(4), ((0.1, MultiUnit(1, 4)),), Beta22())
-        mech = build_test_mechanism(d)
-        q = np.linspace(0, 1, 21)
-        expect = 0.9 * uniform_stair(4).x(q) + 0.1 * MultiUnit(1, 4).x(q)
-        np.testing.assert_allclose(mech.x(q), expect, atol=1e-12)
-
-    def test_agent_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ABDesign(uniform_stair(4), ((0.1, MultiUnit(1, 5)),), Beta22())
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            ABDesign(uniform_stair(4), (), Beta22())
 
 
 class TestCompareRevenues:

@@ -40,6 +40,11 @@ class TestBoundInputs:
         bi = inputs_for(2, 32, 1000)
         assert 25 <= bi.ratio_down <= 31
 
+    def test_zero_sample_size_rejected(self):
+        """N = 0 once raised ZeroDivisionError from the clamp 1/(2N)."""
+        with pytest.raises(ValueError, match="sample size N must be at least 1"):
+            BoundInputs.from_rules(uniform_stair(4), uniform_stair(4), 0)
+
 
 def four_scan_inputs(x, y, N):
     """BoundInputs as from_rules built them with one xprime scan of each
@@ -211,3 +216,10 @@ class TestNormalizedTableBound:
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError):
             normalized_table_bound(4, 8, 0.001)
+
+    def test_eps_range_ends(self):
+        """log(1/eps) is taken as a difference, finite at the smallest
+        subnormal eps, and +0.0 rather than -0.0 at eps = 1."""
+        for design in (1, 2, 3):
+            assert math.isfinite(normalized_table_bound(design, 4, 5e-324))
+        assert math.copysign(1.0, normalized_table_bound(2, 4, 1.0)) == 1.0

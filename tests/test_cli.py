@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import auctionab
-from auctionab.alloc import Position, parse_rule, universal_b
+from auctionab.alloc import LIMITS, Position, parse_rule, universal_b
 from auctionab.cli import build_parser, cli_main
 from auctionab.dist import Beta22, QuantileGrid
 from auctionab.equil import allpay_bid_curve, bid_curve, sample_bids, write_bid_csv
@@ -319,6 +320,71 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("design 2\n")
         assert cli_main(["simulate", "--config", str(cfg), "--seed", "1"]) == 2
+
+
+#: each subcommand at a tiny size, and the flags of it that take numbers
+NUMERIC_FLAGS = {
+    "simulate --design 2 --n 4 --N 20 --trials 2 --grid-m 50 --seed 0":
+        ("--design", "--n", "--N", "--eps", "--trials", "--grid-m", "--seed"),
+    "sweep --design 2 --n 4 --N 20 --trials 2 --grid-m 50 --eps-list 0.1 --seed 0":
+        ("--design", "--n", "--N", "--eps-list", "--trials", "--grid-m", "--seed"),
+    "estimate --bids {bids} --source universal-b --target k-unit:2 --n 4 --seed 0":
+        ("--n", "--seed"),
+    "compare --b1 k-unit:2 --b2 k-unit:3 --n 4 --N 20 --trials 2 --grid-m 50 --seed 0":
+        ("--n", "--N", "--eps", "--alpha", "--trials", "--grid-m", "--seed"),
+    "bounds --design 2 --n 4 --N 20 --seed 0":
+        ("--design", "--n", "--N", "--eps", "--seed"),
+    "table --design 2 --trials 2 --ns 4 --sample-sizes 20 --seed 0":
+        ("--design", "--eps", "--trials", "--ns", "--sample-sizes", "--seed"),
+}
+EDGE_VALUES = ("nan", "inf", "-inf", "-0.0", "0", "-1", "1", "1e308", "5e-324")
+
+
+class TestNumericFlags:
+    @pytest.fixture(scope="class")
+    def bids(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bids") / "bids.csv"
+        curve = allpay_bid_curve(Beta22(), Position(universal_b(4)), QuantileGrid(200))
+        write_bid_csv(sample_bids(curve, 50, 0), path)
+        return path
+
+    @pytest.mark.parametrize("base,flag", [(b, f) for b, flags in NUMERIC_FLAGS.items()
+                                           for f in flags])
+    def test_edge_values_fail_cleanly_or_print_finite_numbers(self, capsys, bids, base, flag):
+        """Every edge value of every numeric flag exits 0, 1 or 2 without a
+        traceback; an exit 0 prints no nan or inf, and an exit 1 prints nothing."""
+        for value in EDGE_VALUES:
+            code = cli_main(base.format(bids=bids).split() + [f"{flag}={value}"])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), (flag, value)
+            if code == 1:
+                assert out == "", (flag, value)
+            for field in out.replace("\n", ",").split(","):
+                try:
+                    number = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (flag, value, out)
+
+    def test_simulate_accepts_eps_one(self, capsys):
+        """eps = 1 is the all-treatment cell: the bids are those of B alone."""
+        code, lines = run(capsys, ["simulate", "--design", "2", "--n", "4", "--N", "20",
+                                   "--trials", "2", "--grid-m", "50", "--seed", "0", "--eps", "1"])
+        assert code == 0
+        assert lines[2].split(",")[3] == "1"
+        assert lines[2].split(",")[9] == "0"
+
+    @pytest.mark.parametrize("argv", [
+        "table --design 2 --trials 2 --ns 4,1 --sample-sizes 20 --seed 0",
+        "table --design 2 --trials 2 --ns 4 --sample-sizes 20,0 --seed 0",
+        "sweep --design 2 --n 4 --N 20 --trials 2 --grid-m 50 --eps-list 0.1,2 --seed 0",
+    ])
+    def test_list_elements_checked_before_the_first_cell(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("auctionab.harness.bid_curve", None)  # any cell would fail on it
+        assert cli_main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err in {f"error: {message}\n" for _, message in LIMITS.values()}
 
 
 #: runs each command line given after the mode, with scipy unimportable when
