@@ -10,7 +10,7 @@ Every case is one rule at one n in {32, 256, 1024}:
 - uniform-stair: uniform_stair(n), one run of n-1 equal marginal weights;
 - design1, design2, design3: the benchmark designs' composites
   mixture(A, B, DEFAULT_EPS), with A and B built beforehand;
-- universal-b: Position(universal_b(n));
+- universal-b: parse_rule("universal-b", n);
 - distinct: n sorted uniform weights drawn from --seed, whose n-1
   marginal weights all differ, so each is a run of its own.
 
@@ -64,8 +64,8 @@ def builders(pkg, n: int, distinct: np.ndarray) -> dict:
              "uniform-stair": lambda: pkg.uniform_stair(n)}
     cases.update({name: lambda a=a, b=b: pkg.mixture(a, b, pkg.harness.DEFAULT_EPS)
                   for name, (a, b) in designs.items()})
-    cases["universal-b"] = lambda: pkg.Position(pkg.universal_b(n))
-    cases["distinct"] = lambda: pkg.Position(pkg.PositionWeights(distinct))
+    cases["universal-b"] = lambda: pkg.parse_rule("universal-b", n)
+    cases["distinct"] = lambda: pkg.alloc.AllocationRule(distinct)
     return cases
 
 

@@ -65,7 +65,7 @@ def estimate(pkg, path: Path) -> str:
 def draw_sample(pkg, kind: str, N: int, seed: int):
     rule = pkg.parse_rule(SOURCE, N_AGENTS)
     if kind == "grid":
-        return pkg.sample_bids(pkg.allpay_bid_curve(pkg.Beta22(), rule), N, seed)
+        return pkg.sample_bids(pkg.bid_curve(pkg.ALL_PAY, pkg.Beta22(), rule), N, seed)
     return pkg.BidSample(pkg.ALL_PAY, rule, np.sort(np.random.default_rng(seed).random(N)))
 
 

@@ -131,7 +131,7 @@ def run_case(fmt: str, n: int, N: int, ties: bool, seed: int, repeats: int) -> d
 def welfare_case(pkgs: dict, n: int, seed: int, repeats: int) -> dict:
     """Time estimate_welfare of each package on one sample at n."""
     x = ab.mixture(ab.uniform_stair(n), ab.MultiUnit(1, n), 0.1)
-    bids = bids_for(ab.allpay_bid_curve(ab.Beta22(), x, GRID), WELFARE_N, True, seed)
+    bids = bids_for(ab.bid_curve(ab.ALL_PAY, ab.Beta22(), x, GRID), WELFARE_N, True, seed)
     calls = []
     for pkg in pkgs.values():
         px = pkg.mixture(pkg.uniform_stair(n), pkg.MultiUnit(1, n), 0.1)

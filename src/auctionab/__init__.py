@@ -7,19 +7,14 @@ a revenue comparator, and a Monte Carlo validation harness.
 from .alloc import (
     AllocationRule,
     DegenerateRuleError,
-    MarginalWeights,
     Mixture,
     MultiUnit,
-    Position,
-    PositionWeights,
-    marginal_weights,
     max_slope,
     mixture,
     parse_rule,
     uniform_stair,
     uniform_stair_weights,
     universal_b,
-    weights_from_marginals,
 )
 from .dist import (
     Beta22,
@@ -36,9 +31,7 @@ from .equil import (
     FIRST_PRICE,
     BidCurve,
     BidSample,
-    allpay_bid_curve,
     bid_curve,
-    firstprice_bid_curve,
     invert,
     read_bid_csv,
     sample_bids,

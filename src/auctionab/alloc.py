@@ -189,68 +189,6 @@ def read_only(a: np.ndarray, given) -> np.ndarray:
     return a
 
 
-def _check_position_weights(w: np.ndarray) -> np.ndarray:
-    """A position-weight vector has at least 2 entries, each in [0, 1]
-    (so no NaN), none above its predecessor by more than rounding.  Returns
-    the steps w[:-1] - w[1:], the marginal weights of 1..n-1 units."""
-    if w.ndim != 1 or len(w) < 2:
-        raise ValueError("need a vector of at least 2 position weights")
-    if not ((w >= 0.0) & (w <= 1.0)).all():
-        raise ValueError("position weights must lie in [0, 1]")
-    wbar = w[:-1] - w[1:]
-    if (wbar < -1e-12).any():
-        raise ValueError("position weights must be nonincreasing")
-    return wbar
-
-
-@dataclass(frozen=True)
-class PositionWeights:
-    """Decreasing service probabilities w_1 >= ... >= w_n for n positions."""
-
-    n: int
-    w: np.ndarray
-
-    def __init__(self, w):
-        given, w = w, np.asarray(w, dtype=float)
-        _check_position_weights(w)
-        object.__setattr__(self, "n", len(w))
-        object.__setattr__(self, "w", read_only(w, given))
-
-
-@dataclass(frozen=True)
-class MarginalWeights:
-    """Increments of the position weights: a probability distribution over
-    the number of units served, indexed 0..n."""
-
-    n: int
-    wbar: np.ndarray
-
-    def __post_init__(self):
-        wbar = np.asarray(self.wbar, dtype=float)
-        if len(wbar) != self.n + 1:
-            raise ValueError("marginal weights must have n+1 entries")
-        if np.any(wbar < -1e-12):
-            raise ValueError("marginal weights must be nonnegative")
-        if abs(wbar.sum() - 1.0) > 1e-12:
-            raise ValueError("marginal weights must sum to 1")
-        object.__setattr__(self, "wbar", read_only(wbar, self.wbar))
-
-
-def marginal_weights(w: PositionWeights) -> MarginalWeights:
-    """wbar[0] = 1 - w[1], wbar[k] = w[k] - w[k+1] for k < n, wbar[n] = w[n]."""
-    wbar = np.empty(w.n + 1)
-    wbar[0] = 1.0 - w.w[0]
-    wbar[1:-1] = w.w[:-1] - w.w[1:]
-    wbar[-1] = w.w[-1]
-    return MarginalWeights(w.n, wbar)
-
-
-def weights_from_marginals(m: MarginalWeights) -> PositionWeights:
-    """Left inverse of marginal_weights: w[k] = sum_{j>=k} wbar[j], summed
-    from j = n down (add.accumulate adds left to right)."""
-    return PositionWeights(np.cumsum(m.wbar[:0:-1])[::-1])
-
-
 #: neighbouring marginal weights this close (relative) belong to one run;
 #: the uniform stair's increments are not bit-equal floats
 RUN_RTOL = 1e-12
@@ -303,10 +241,12 @@ class AllocationRule:
     """Evaluable allocation rule on [0, 1] with its exact derivative and
     antiderivative.  Immutable; evaluators are pure and thread-safe.
 
-    Every rule is a position rule, i.e. its vector of position weights; two
-    rules are equal when their weight vectors are, and the weights pass the
-    checks PositionWeights makes.  Build rules with MultiUnit, Position or
-    Mixture.  Construction finds once the runs [k0, k1] (k1 <= n-1) of equal
+    Every rule is a position rule, i.e. its vector w of position weights
+    w_1 >= ... >= w_n (read-only); two rules are equal when their weight
+    vectors are.  The weights number at least 2, each in [0, 1] (so no
+    NaN), none above its predecessor by more than rounding.  Build rules
+    from their weights, or with MultiUnit, Mixture or parse_rule.
+    Construction finds once the runs [k0, k1] (k1 <= n-1) of equal
     nonzero marginal weight and the mass w_k0 - w_{k1+1} of each.  A run
     takes each next weight within RUN_RTOL (relative) of its first; the runs
     are found in a fixed number of numpy calls (_run_bounds), with a Python
@@ -315,46 +255,49 @@ class AllocationRule:
     wbar_n = w_n only adds w_n to x and w_n q to its integral.
     """
 
-    _w: np.ndarray
+    w: np.ndarray
     #: what describe() names: k for a multi-unit rule, the (weight, rule)
     #: components of a mixture, None for a rule named by its weights
     _label: object = None
     _runs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = read_only(np.asarray(self._w, dtype=float), self._w)
+        w = read_only(np.asarray(self.w, dtype=float), self.w)
+        if w.ndim != 1 or len(w) < 2:
+            raise ValueError("need a vector of at least 2 position weights")
+        if not ((w >= 0.0) & (w <= 1.0)).all():
+            raise ValueError("position weights must lie in [0, 1]")
         # entry i of the steps is the marginal weight of k = i+1 units, so the
         # run [i0, i1) of steps is the run k0 = i0+1 .. k1 = i1 of terms
-        i0, i1 = _run_bounds(_check_position_weights(w))
-        object.__setattr__(self, "_w", w)
+        wbar = w[:-1] - w[1:]
+        if (wbar < -1e-12).any():
+            raise ValueError("position weights must be nonincreasing")
+        i0, i1 = _run_bounds(wbar)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "_runs", tuple(zip(
             (i0 + 1).tolist(), i1.tolist(), (w[i0] - w[i1]).tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, AllocationRule):
             return NotImplemented
-        return np.array_equal(self._w, other._w)
+        return np.array_equal(self.w, other.w)
 
     def __hash__(self):
         # hash(-0.0) == hash(0.0), as == needs; the bytes of the two differ
-        return hash(tuple(self._w.tolist()))
+        return hash(tuple(self.w.tolist()))
 
     def __reduce__(self):
         # rebuilt through the constructor, so the weights come back read-only
-        return AllocationRule, (self._w, self._label)
+        return AllocationRule, (self.w, self._label)
 
     @property
     def n(self) -> int:
-        return len(self._w)
-
-    @property
-    def weights(self) -> PositionWeights:
-        return PositionWeights(self._w)
+        return len(self.w)
 
     def x(self, q):
         q = _as_array(q)
         n = self.n
-        out = np.full(q.shape, self._w[-1])
+        out = np.full(q.shape, self.w[-1])
         for k0, k1, mass in self._runs:
             # sum_{k=k0}^{k1} P(C <= k-1) with C ~ Bin(n-1, 1-q) rivals above q
             s = (k1 - k0 + 1) * _between(n - 1, 0, k0 - 1, q)
@@ -377,7 +320,7 @@ class AllocationRule:
         """The integral of x over [0, q]."""
         q = _as_array(q)
         n, p = self.n, 1.0 - q
-        out = self._w[-1] * q
+        out = self.w[-1] * q
         for k0, k1, mass in self._runs:
             # n int_0^q x_k = E[(k-D)^+] with D ~ Bin(n, 1-q); over the run that
             # is L E[kbar - D; D < k0] + E[T(k1 - D); k0 <= D < k1], T(e) = e(e+1)/2,
@@ -400,7 +343,7 @@ class AllocationRule:
     def describe(self) -> str:
         label = self._label
         if label is None:
-            return "position(" + ",".join(f"{v:g}" for v in self._w) + ")"
+            return "position(" + ",".join(f"{v:g}" for v in self.w) + ")"
         if isinstance(label, int):
             return f"{label}-unit(n={self.n})"
         return "+".join(f"{c:g}*{r.describe()}" for c, r in label)
@@ -412,12 +355,6 @@ def MultiUnit(k: int, n: int) -> AllocationRule:
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
     return AllocationRule(np.arange(n) < k, int(k))
-
-
-def Position(weights: PositionWeights) -> AllocationRule:
-    """Rank-by-bid position auction: mixture over multi-unit auctions with
-    the marginal weights of the position environment."""
-    return AllocationRule(weights.w)
 
 
 def Mixture(components) -> AllocationRule:
@@ -435,7 +372,7 @@ def Mixture(components) -> AllocationRule:
     total = sum(w for w, _ in comps)
     if abs(total - 1.0) > 1e-9:
         raise ValueError("mixture weights must sum to 1")
-    return AllocationRule(sum(w * r._w for w, r in comps) / total, comps)
+    return AllocationRule(sum(w * r.w for w, r in comps) / total, comps)
 
 
 def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:
@@ -443,18 +380,18 @@ def mixture(a: AllocationRule, b: AllocationRule, eps: float) -> AllocationRule:
     return Mixture(((1.0 - eps, a), (eps, b)))
 
 
-def uniform_stair_weights(n: int) -> PositionWeights:
-    """w_k = (n-k)/(n-1); the induced allocation rule is x(q) = q."""
+def uniform_stair(n: int) -> AllocationRule:
+    """The rule with weights w_k = (n-k)/(n-1), which is x(q) = q."""
     check("n", n)
     k = np.arange(1, n + 1)
-    return PositionWeights((n - k) / (n - 1))
+    return AllocationRule((n - k) / (n - 1))
 
 
-def uniform_stair(n: int) -> AllocationRule:
-    return Position(uniform_stair_weights(n))
+#: the stair's older name, which the benchmark workloads call
+uniform_stair_weights = uniform_stair
 
 
-def universal_b(n: int) -> PositionWeights:
+def universal_b(n: int) -> AllocationRule:
     """Treatment mechanism whose marginal weights put mass 1/2 on the 1-unit
     auction and 1/2 on the (n-1)-unit auction; mixing it into any incumbent
     makes every multi-unit revenue estimable at once.
@@ -467,7 +404,7 @@ def universal_b(n: int) -> PositionWeights:
     w = np.full(n, 0.5)
     w[0] = 1.0
     w[-1] = 0.0
-    return PositionWeights(w)
+    return AllocationRule(w)
 
 
 #: points of the uniform quantile grid that slope suprema are taken over
@@ -509,11 +446,11 @@ def parse_rule(text: str, n: int) -> AllocationRule:
     if text == "uniform-stair":
         return uniform_stair(n)
     if text == "universal-b":
-        return Position(universal_b(n))
+        return universal_b(n)
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"unrecognized rule spec: {text!r}") from None
     if len(values) != n:
         raise ValueError(f"expected {n} position weights, got {len(values)}")
-    return Position(PositionWeights(values))
+    return AllocationRule(values)

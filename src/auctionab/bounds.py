@@ -91,6 +91,8 @@ def bound_expected_value(N: int, n: int, sup_xprime: float, sup_inv_xprime: floa
     """Expected absolute error of the mean-value estimate from all-pay bids:
     (40/sqrt(N)) sqrt(n log n) log max{sup x', sup 1/x'}
     + (1/N) sup x' sup 1/x'."""
+    check("N", N)
+    check("n", n)
     lead = (
         HEADLINE_CONSTANT
         / math.sqrt(N)
@@ -104,6 +106,7 @@ def bound_ideal_ab(eps: float, N: int, sup_yprime: float) -> float:
     """Error of the ideal split test that sees only eps*N treatment bids:
     (1/sqrt(eps)) sup y'/sqrt(N)."""
     check("eps", eps)
+    check("N", N)
     return 1.0 / math.sqrt(eps) * sup_yprime / math.sqrt(N)
 
 
@@ -112,6 +115,8 @@ def bound_mixture(eps: float, N: int, n: int, sup_yprime: float, multi_unit: boo
     (1-eps)/eps mixture.  General targets pay an extra sqrt(n log n) factor;
     multi-unit targets get the 40 log(n/eps) form."""
     check("eps", eps)
+    check("N", N)
+    check("n", n)
     if multi_unit:
         return HEADLINE_CONSTANT * (math.log(n) - math.log(eps)) * sup_yprime / math.sqrt(N)
     return math.sqrt(n * math.log(n)) * (math.log(n) - math.log(eps)) * sup_yprime / math.sqrt(N)
@@ -121,6 +126,8 @@ def bound_universal(eps: float, N: int, n: int) -> float:
     """Simultaneous error over all multi-unit revenues when the universal
     treatment mechanism is mixed in: 40 n (n + log(1/eps))/sqrt(N)."""
     check("eps", eps)
+    check("N", N)
+    check("n", n)
     return HEADLINE_CONSTANT * n * (n - math.log(eps)) / math.sqrt(N)
 
 
@@ -128,6 +135,8 @@ def bound_classifier(N: int, n: int, eps: float, alpha: float, a: float) -> floa
     """Upper bound on the misclassification probability of the revenue
     comparator: exp(-N a^2 / (alpha^2 n^3 log(n/eps)))."""
     check("eps", eps)
+    check("N", N)
+    check("n", n)
     check("alpha", alpha)
     if a < 0:
         raise ValueError("revenue gap must be nonnegative")
@@ -141,6 +150,8 @@ def bound_welfare(eps: float, N: int, n: int) -> float:
     40 n log n (n + log(1/eps))/sqrt(N) + 40 sqrt(n log n) log(n/eps)/sqrt(N)
     + n/(eps N)."""
     check("eps", eps)
+    check("N", N)
+    check("n", n)
     ln_n = math.log(n)
     lead = HEADLINE_CONSTANT * n * ln_n * (n - math.log(eps)) / math.sqrt(N)
     mid = HEADLINE_CONSTANT * math.sqrt(n * ln_n) * (ln_n - math.log(eps)) / math.sqrt(N)
@@ -156,6 +167,7 @@ def normalized_table_bound(design: int, n: int, eps: float) -> float:
     term its slope ratios produce.  This reproduces those printed values for
     the cross-checks in the test suite.
     """
+    check("n", n)
     c = HEADLINE_CONSTANT / 30.0
     if design == 1:
         return c * math.sqrt(n * math.log(n)) / n * max(3.0 * math.log(n), -math.log(eps))

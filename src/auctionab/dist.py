@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import AllocationRule, Position, PositionWeights, check
+from .alloc import AllocationRule, check
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,8 @@ def expected_value(dist: ValueDistribution, grid: QuantileGrid = DEFAULT_GRID) -
     return float(np.trapezoid(grid_values(dist, grid), q))
 
 
-def true_welfare(dist: ValueDistribution, w: PositionWeights, grid: QuantileGrid = DEFAULT_GRID) -> float:
+def true_welfare(dist: ValueDistribution, y: AllocationRule, grid: QuantileGrid = DEFAULT_GRID) -> float:
     """Per-agent social welfare (1/n) sum_k w_k E[v_(k)] of the position
-    auction with weights w: E_q[v(q) x_w(q)], x_w the rule that serves the
-    agent at quantile q, by trapezoidal quadrature."""
+    auction y with weights w: E_q[v(q) y(q)] by trapezoidal quadrature."""
     q = grid.q
-    return float(np.trapezoid(grid_values(dist, grid) * Position(w).x(q), q))
+    return float(np.trapezoid(grid_values(dist, grid) * y.x(q), q))

@@ -134,70 +134,40 @@ def _cumulative_trapezoid(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(q) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def allpay_bid_curve(
-    dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
-) -> BidCurve:
-    q = grid.q
-    b = _cumulative_trapezoid(grid_values(dist, grid) * rule.xprime(q), q)
-    return BidCurve(ALL_PAY, rule, grid, b)
-
-
-def firstprice_bid_curve(
-    dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
-) -> BidCurve:
-    q = grid.q
-    num = _cumulative_trapezoid(grid_values(dist, grid) * rule.xprime(q), q)
-    xq = rule.x(q)
-    dead = xq < EPS_ALLOC
-    if np.any(dead & (q > 0.5)):
-        raise DegenerateRuleError("allocation rule vanishes away from q=0; no first-price bid curve")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(dead, float(dist.v(0.0)), num / np.where(dead, 1.0, xq))
-    return BidCurve(FIRST_PRICE, rule, grid, b)
-
-
 def bid_curve(
     fmt: str, dist: ValueDistribution, rule: AllocationRule, grid: QuantileGrid = DEFAULT_GRID
 ) -> BidCurve:
-    if fmt == ALL_PAY:
-        return allpay_bid_curve(dist, rule, grid)
+    """The equilibrium bids of format fmt on the grid: the all-pay integral
+    int_0^q v x' dt, which for first-price is divided by x(q).  Where x is
+    below EPS_ALLOC (near q = 0 alone) the first-price bid is v(0)."""
+    q = grid.q
+    b = _cumulative_trapezoid(grid_values(dist, grid) * rule.xprime(q), q)
     if fmt == FIRST_PRICE:
-        return firstprice_bid_curve(dist, rule, grid)
-    raise ValueError(f"unknown payment format {fmt!r}")
-
-
-def _bprime(curve: BidCurve) -> np.ndarray:
-    # central differences inside, second-order one-sided at the endpoints
-    return np.gradient(curve.b, curve.grid.q, edge_order=2)
-
-
-def invert_allpay(curve: BidCurve) -> np.ndarray:
-    """Recover v(q) = b'(q)/x'(q) on the curve's grid.  Quantiles where the
-    rule's slope is below EPS_SLOPE are reported as NaN gaps, never
-    interpolated silently."""
-    if curve.format != ALL_PAY:
-        raise ValueError("curve is not from an all-pay auction")
-    xp = curve.rule.xprime(curve.grid.q)
-    ok = xp > EPS_SLOPE
-    out = np.full_like(curve.b, np.nan)
-    out[ok] = _bprime(curve)[ok] / xp[ok]
-    return out
-
-
-def invert_firstprice(curve: BidCurve) -> np.ndarray:
-    """Recover v(q) = b(q) + x(q) b'(q)/x'(q), with NaN gaps as above."""
-    if curve.format != FIRST_PRICE:
-        raise ValueError("curve is not from a first-price auction")
-    rule, q = curve.rule, curve.grid.q
-    xp = rule.xprime(q)
-    ok = xp > EPS_SLOPE
-    out = np.full_like(curve.b, np.nan)
-    out[ok] = curve.b[ok] + rule.x(q)[ok] * _bprime(curve)[ok] / xp[ok]
-    return out
+        xq = rule.x(q)
+        dead = xq < EPS_ALLOC
+        if np.any(dead & (q > 0.5)):
+            raise DegenerateRuleError("allocation rule vanishes away from q=0; no first-price bid curve")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(dead, float(dist.v(0.0)), b / np.where(dead, 1.0, xq))
+    return BidCurve(fmt, rule, grid, b)
 
 
 def invert(curve: BidCurve) -> np.ndarray:
-    return (invert_allpay if curve.format == ALL_PAY else invert_firstprice)(curve)
+    """Recover v(q) on the curve's grid: b'(q)/x'(q) for all-pay and
+    b(q) + x(q) b'(q)/x'(q) for first-price.  Quantiles where the rule's
+    slope is below EPS_SLOPE are reported as NaN gaps, never interpolated
+    silently."""
+    rule, q = curve.rule, curve.grid.q
+    xp = rule.xprime(q)
+    ok = xp > EPS_SLOPE
+    # central differences inside, second-order one-sided at the endpoints
+    bp = np.gradient(curve.b, q, edge_order=2)[ok]
+    out = np.full_like(curve.b, np.nan)
+    if curve.format == ALL_PAY:
+        out[ok] = bp / xp[ok]
+    else:
+        out[ok] = curve.b[ok] + rule.x(q)[ok] * bp / xp[ok]
+    return out
 
 
 def sample_bids(curve: BidCurve, N: int, seed) -> BidSample:
@@ -209,7 +179,7 @@ def sample_bids(curve: BidCurve, N: int, seed) -> BidSample:
 def _weights_text(rule: AllocationRule) -> str:
     """The rule's position weights as a sidecar records them: %.17g, comma
     separated, so equal text means equal bits (and --source accepts it)."""
-    return ",".join("%.17g" % v for v in rule.weights.w)
+    return ",".join("%.17g" % v for v in rule.w)
 
 
 def write_bid_csv(sample: BidSample, csv_path) -> None:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .alloc import AllocationRule, Position, PositionWeights
+from .alloc import AllocationRule, check
 from .equil import ALL_PAY, FIRST_PRICE, BidSample
 
 #: derivatives at or below this are treated as exact zeros
@@ -64,6 +64,7 @@ class SourceGrid:
     def __init__(self, fmt: str, x: AllocationRule, N: int, edges: Optional[np.ndarray] = None):
         if fmt not in (ALL_PAY, FIRST_PRICE):
             raise ValueError(f"unknown payment format {fmt!r}")
+        check("N", N)
         self.fmt = fmt
         self.n = x.n
         self.q = (np.arange(N + 1) if edges is None else edges) / N
@@ -110,7 +111,7 @@ class SourceGrid:
             raise ValueError("welfare and expected-value estimation need an all-pay sample")
         self._check_agents(y)
         q, yq = self.q, y.x(self.qe)
-        num = np.where(q == 0.0, (yq - y.weights.w[0]) / (1.0 - self.qe),
+        num = np.where(q == 0.0, (yq - y.w[0]) / (1.0 - self.qe),
                        np.where(q == 1.0, 0.0, yq))
         return self._over_slope(num)
 
@@ -149,7 +150,7 @@ def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule) ->
     return EstimateReport(float(estimate(sample, x, [y])[0]))
 
 
-def estimate_welfare(sample: BidSample, x: AllocationRule, w: PositionWeights) -> EstimateReport:
-    """Per-agent social welfare of the position auction with weights w from
-    all-pay bids under source x."""
-    return EstimateReport(float(estimate(sample, x, [Position(w)], "welfare")[0]))
+def estimate_welfare(sample: BidSample, x: AllocationRule, y: AllocationRule) -> EstimateReport:
+    """Per-agent social welfare of target rule y from all-pay bids under
+    source x."""
+    return EstimateReport(float(estimate(sample, x, [y], "welfare")[0]))

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from auctionab.abtest import best_of_r, compare_revenues
-from auctionab.alloc import MultiUnit, Position, universal_b
+from auctionab.alloc import MultiUnit, universal_b
 from auctionab.dist import Beta22, QuantileGrid, true_revenue
-from auctionab.equil import allpay_bid_curve, sample_bids
+from auctionab.equil import ALL_PAY, bid_curve, sample_bids
 
 GRID = QuantileGrid(10_000)
 
 
 def universal_sample(n, N, seed):
-    x = Position(universal_b(n))
-    curve = allpay_bid_curve(Beta22(), x, GRID)
+    x = universal_b(n)
+    curve = bid_curve(ALL_PAY, Beta22(), x, GRID)
     return x, sample_bids(curve, N, seed)
 
 

@@ -14,24 +14,17 @@ import pytest
 from auctionab.abtest import best_of_r, compare_revenues
 from auctionab.alloc import (
     MultiUnit,
-    Position,
-    PositionWeights,
-    marginal_weights,
     max_slope,
     mixture,
     uniform_stair,
-    uniform_stair_weights,
     universal_b,
-    weights_from_marginals,
 )
 from auctionab.bounds import normalized_table_bound
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, true_revenue, true_welfare
 from auctionab.equil import (
     ALL_PAY,
     FIRST_PRICE,
-    allpay_bid_curve,
     bid_curve,
-    firstprice_bid_curve,
     invert,
     sample_bids,
 )
@@ -78,8 +71,8 @@ def desk_cells():
 
 def test_criterion_01_estimator_exactness():
     start = time.perf_counter()
-    x = Position(universal_b(8))
-    curve = allpay_bid_curve(Beta22(), x, QuantileGrid(2000))
+    x = universal_b(8)
+    curve = bid_curve(ALL_PAY, Beta22(), x, QuantileGrid(2000))
     sample = sample_bids(curve, 500, 0)
 
     self_est = estimate_revenue(sample, x, x).point
@@ -90,28 +83,21 @@ def test_criterion_01_estimator_exactness():
     combo = 0.7 * estimate_revenue(sample, x, a).point + 0.3 * estimate_revenue(sample, x, b).point
     err_lin = abs(estimate_revenue(sample, x, mix).point - combo)
 
-    err_rt = 0.0
-    for w in ([1.0, 0.5, 0.0], list(uniform_stair_weights(7).w), list(universal_b(9).w)):
-        pw = PositionWeights(w)
-        back = weights_from_marginals(marginal_weights(pw))
-        err_rt = max(err_rt, float(np.max(np.abs(back.w - pw.w))))
-
     elapsed = time.perf_counter() - start
-    ok = err_self <= 1e-12 and err_lin <= 1e-12 and err_rt <= 1e-12 and elapsed < 1.0
+    ok = err_self <= 1e-12 and err_lin <= 1e-12 and elapsed < 1.0
     _report(
         "criterion 01 estimator exactness identities",
         ok,
-        f"self={err_self:.2e} linearity={err_lin:.2e} weights_round_trip={err_rt:.2e} "
-        f"time={elapsed:.2f}s",
+        f"self={err_self:.2e} linearity={err_lin:.2e} time={elapsed:.2f}s",
     )
 
 
 def test_criterion_02_analytic_oracles():
     start = time.perf_counter()
     rev_err = abs(true_revenue(Uniform01(), MultiUnit(1, 2), GRID) - 1.0 / 6.0)
-    fp = firstprice_bid_curve(Uniform01(), MultiUnit(1, 2), GRID)
+    fp = bid_curve(FIRST_PRICE, Uniform01(), MultiUnit(1, 2), GRID)
     fp_err = float(np.max(np.abs(fp.b - GRID.q / 2)))
-    ap = allpay_bid_curve(Uniform01(), uniform_stair(2), GRID)
+    ap = bid_curve(ALL_PAY, Uniform01(), uniform_stair(2), GRID)
     ap_err = float(np.max(np.abs(ap.b - GRID.q**2 / 2)))
     elapsed = time.perf_counter() - start
     ok = rev_err <= 1e-6 and fp_err <= 1e-4 and ap_err <= 1e-6 and elapsed < 5.0
@@ -215,8 +201,8 @@ def test_criterion_07_mixture_mass_sweep_shape():
 
 def test_criterion_08_candidate_classifier():
     dist = Beta22()
-    x = Position(universal_b(8))
-    curve = allpay_bid_curve(dist, x, GRID)
+    x = universal_b(8)
+    curve = bid_curve(ALL_PAY, dist, x, GRID)
     better, worse = MultiUnit(5, 8), MultiUnit(3, 8)
     gap = true_revenue(dist, better, GRID) - true_revenue(dist, worse, GRID)
     assert gap >= 0.02
@@ -253,9 +239,9 @@ def test_criterion_08_candidate_classifier():
 
 def test_criterion_09_welfare_against_order_statistic_oracle():
     dist = Beta22()
-    w = uniform_stair_weights(8)
-    x = Position(universal_b(8))
-    curve = allpay_bid_curve(dist, x, GRID)
+    w = uniform_stair(8)
+    x = universal_b(8)
+    curve = bid_curve(ALL_PAY, dist, x, GRID)
     trials = 30
     estimates = np.empty(trials)
     for t in range(trials):
@@ -303,7 +289,7 @@ def test_criterion_10_slope_magnitude_properties():
 
 
 def test_empirical_cdf_sup_gap_diagnostic():
-    curve = allpay_bid_curve(Beta22(), Position(universal_b(8)), GRID)
+    curve = bid_curve(ALL_PAY, Beta22(), universal_b(8), GRID)
     N, reps = 10_000, 200
     sups = np.empty(reps)
     for r in range(reps):

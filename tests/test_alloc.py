@@ -13,19 +13,14 @@ from scipy import special
 from auctionab.alloc import (
     RUN_RTOL,
     AllocationRule,
-    MarginalWeights,
     Mixture,
     MultiUnit,
-    Position,
-    PositionWeights,
-    marginal_weights,
     max_slope,
     mixture,
     parse_rule,
     uniform_stair,
     uniform_stair_weights,
     universal_b,
-    weights_from_marginals,
 )
 from auctionab.alloc import _as_array, _between, _binom_pmf, _ibeta
 
@@ -64,6 +59,12 @@ MULTI_UNIT_FORMS = (
     (multi_unit_alloc, multi_unit_alloc_deriv),
     (lambda k, n, q: MultiUnit(k, n).x(q), lambda k, n, q: MultiUnit(k, n).xprime(q)),
 )
+
+
+def marginals(rule):
+    """The rule's marginal weights over 0..n units: 1 - w_1, w_k - w_{k+1}, w_n."""
+    w = rule.w
+    return np.concatenate(([1.0 - w[0]], w[:-1] - w[1:], [w[-1]]))
 
 
 def direct_alloc(k, n, q):
@@ -253,39 +254,13 @@ class TestTailSum:
         assert _ibeta(a, b, x).tolist() == alone
 
 
-class TestPositionWeights:
-    def test_valid_construction(self):
-        w = PositionWeights([1.0, 0.5, 0.0])
-        assert w.n == 3
-        np.testing.assert_array_equal(w.w, [1.0, 0.5, 0.0])
-
-    def test_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            PositionWeights([0.5, 1.0])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            PositionWeights([1.5, 0.5])
-        with pytest.raises(ValueError):
-            PositionWeights([1.0, np.nan, 0.0])
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            PositionWeights([1.0])
-
-    def test_caller_array_stays_writable(self):
-        a = np.array([1.0, 0.5])
-        w = PositionWeights(a)
-        a[0] = 0.9
-        assert w.w.tolist() == [1.0, 0.5] and not w.w.flags.writeable
-
-    def test_read_only_input_not_copied(self):
-        w = MultiUnit(2, 4).weights.w
-        assert PositionWeights(w).w is w
-
-
 class TestAllocationRuleWeights:
-    """AllocationRule makes the checks PositionWeights makes."""
+    """AllocationRule checks its position weights and keeps them read-only."""
+
+    def test_valid_construction(self):
+        rule = AllocationRule([1.0, 0.5, 0.0])
+        assert rule.n == 3
+        np.testing.assert_array_equal(rule.w, [1.0, 0.5, 0.0])
 
     @pytest.mark.parametrize("w, message", [
         ([0.2, 0.9, 1.5], "lie in"),
@@ -300,7 +275,7 @@ class TestAllocationRuleWeights:
             AllocationRule(np.array(w))
 
     def test_rounding_noise_accepted(self):
-        # a mixture's weights may rise by an ulp; PositionWeights allows 1e-12
+        # a mixture's weights may rise by an ulp; the check allows 1e-12
         rule = AllocationRule(np.array([1.0, 0.5 + 1e-13, 0.5, 0.0]))
         assert rule.n == 4
 
@@ -308,38 +283,14 @@ class TestAllocationRuleWeights:
         a = np.array([1.0, 0.5, 0.0])
         rule = AllocationRule(a)
         a[1] = 0.7
-        assert rule.weights.w.tolist() == [1.0, 0.5, 0.0] and not rule.weights.w.flags.writeable
+        assert rule.w.tolist() == [1.0, 0.5, 0.0] and not rule.w.flags.writeable
 
+    def test_read_only_input_not_copied(self):
+        w = MultiUnit(2, 4).w
+        assert AllocationRule(w).w is w
 
-class TestMarginalWeights:
-    def test_two_agent_example(self):
-        wbar = marginal_weights(PositionWeights([1.0, 0.5])).wbar
-        np.testing.assert_allclose(wbar, [0.0, 0.5, 0.5])
-
-    def test_sum_to_one_enforced(self):
-        with pytest.raises(ValueError):
-            MarginalWeights(2, np.array([0.5, 0.2, 0.2]))
-
-    def test_caller_array_stays_writable(self):
-        a = np.array([0.5, 0.25, 0.25])
-        m = MarginalWeights(2, a)
-        a[0] = 0.0
-        assert m.wbar.tolist() == [0.5, 0.25, 0.25] and not m.wbar.flags.writeable
-
-    def test_round_trip_exact(self):
-        for w in ([1.0, 0.5, 0.0], [0.9, 0.9, 0.3, 0.1], list(uniform_stair_weights(7).w)):
-            pw = PositionWeights(w)
-            back = weights_from_marginals(marginal_weights(pw))
-            np.testing.assert_array_almost_equal(back.w, pw.w, decimal=14)
-        # bit for bit the sum from wbar_n down, one term at a time
-        w = np.sort(np.random.default_rng(3).random(1024))[::-1]
-        for pw in (PositionWeights(w), uniform_stair_weights(1024)):
-            m = marginal_weights(pw)
-            acc, ref = m.wbar[m.n], [m.wbar[m.n]]
-            for k in range(m.n - 1, 0, -1):
-                acc = m.wbar[k] + acc
-                ref.append(acc)
-            assert weights_from_marginals(m).w.tobytes() == np.array(ref[::-1]).tobytes()
+    def test_uniform_stair_weights_is_the_stair(self):
+        assert uniform_stair_weights(7) == uniform_stair(7)
 
 
 class TestPositionRule:
@@ -351,20 +302,19 @@ class TestPositionRule:
 
     def test_position_is_marginal_mixture_of_multiunits(self):
         q = np.linspace(0, 1, 101)
-        w = PositionWeights([0.9, 0.6, 0.6, 0.1])
-        rule = Position(w)
-        wbar = marginal_weights(rule.weights).wbar
+        rule = AllocationRule([0.9, 0.6, 0.6, 0.1])
+        wbar = marginals(rule)
         expect = sum(wbar[k] * multi_unit_alloc(k, 4, q) for k in range(1, 5))
         np.testing.assert_allclose(rule.x(q), expect, atol=1e-12)
 
     def test_full_service_weights(self):
         q = np.linspace(0, 1, 11)
-        rule = Position(PositionWeights([1.0, 1.0, 1.0]))
+        rule = AllocationRule([1.0, 1.0, 1.0])
         np.testing.assert_allclose(rule.x(q), 1.0)
 
     def test_never_serve_weights(self):
         q = np.linspace(0, 1, 11)
-        rule = Position(PositionWeights([0.0, 0.0]))
+        rule = AllocationRule([0.0, 0.0])
         np.testing.assert_allclose(rule.x(q), 0.0)
 
 
@@ -373,7 +323,7 @@ class TestUniversalB:
         np.testing.assert_allclose(universal_b(4).w, [1.0, 0.5, 0.5, 0.0])
 
     def test_n4_marginals(self):
-        wbar = marginal_weights(universal_b(4)).wbar
+        wbar = marginals(universal_b(4))
         np.testing.assert_allclose(wbar, [0.0, 0.5, 0.0, 0.5, 0.0])
 
     def test_n3_boundary(self):
@@ -385,7 +335,7 @@ class TestUniversalB:
 
     def test_marginals_mass_on_one_and_n_minus_one(self):
         for n in (3, 8, 17):
-            wbar = marginal_weights(universal_b(n)).wbar
+            wbar = marginals(universal_b(n))
             assert wbar[1] == pytest.approx(0.5)
             assert wbar[n - 1] == pytest.approx(0.5 if n > 3 else wbar[n - 1])
             assert wbar.sum() == pytest.approx(1.0)
@@ -412,7 +362,7 @@ class TestMixture:
         q = np.linspace(0, 1, 101)
         assert np.all(r.x(q) <= 1.0)
         assert r.x(0.5) <= 0.125 + 1e-15
-        np.testing.assert_array_equal(r.weights.w, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(r.w, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestMaxSlope:
@@ -441,11 +391,11 @@ class TestParseRule:
         assert parse_rule("one-unit", 8) == MultiUnit(1, 8)
         assert parse_rule("k-unit:3", 8) == MultiUnit(3, 8)
         assert parse_rule("uniform-stair", 8) == uniform_stair(8)
-        assert parse_rule("universal-b", 8) == Position(universal_b(8))
+        assert parse_rule("universal-b", 8) == universal_b(8)
 
     def test_weight_list(self):
         rule = parse_rule("1,0.5,0", 3)
-        np.testing.assert_allclose(rule.weights.w, [1.0, 0.5, 0.0])
+        np.testing.assert_allclose(rule.w, [1.0, 0.5, 0.0])
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -459,7 +409,7 @@ class TestRuleIdentity:
 
     def test_equal_weights_equal_rules(self):
         for k, n in ((1, 2), (3, 8), (8, 8)):
-            a, b = MultiUnit(k, n), Position(PositionWeights([1.0] * k + [0.0] * (n - k)))
+            a, b = MultiUnit(k, n), AllocationRule([1.0] * k + [0.0] * (n - k))
             assert a == b and hash(a) == hash(b)
         assert uniform_stair(8) == uniform_stair(8)
         assert hash(uniform_stair(8)) == hash(uniform_stair(8))
@@ -468,27 +418,27 @@ class TestRuleIdentity:
         assert MultiUnit(1, 4) != MultiUnit(1, 5)
 
     def test_negative_zero_weight(self):
-        a = Position(PositionWeights([1.0, 0.0]))
-        b = Position(PositionWeights([1.0, -0.0]))
+        a = AllocationRule([1.0, 0.0])
+        b = AllocationRule([1.0, -0.0])
         assert a == b and hash(a) == hash(b) == hash(MultiUnit(1, 2))
 
     def test_dict_keys(self):
         table = {MultiUnit(1, 4): "one", uniform_stair(4): "stair"}
-        assert table[Position(PositionWeights([1.0, 0.0, 0.0, 0.0]))] == "one"
+        assert table[AllocationRule([1.0, 0.0, 0.0, 0.0])] == "one"
         assert table[parse_rule("uniform-stair", 4)] == "stair"
         assert len({MultiUnit(2, 4), parse_rule("k-unit:2", 4), parse_rule("1,1,0,0", 4)}) == 1
 
     def test_pickle_round_trip(self):
-        rules = (MultiUnit(2, 5), Position(universal_b(5)),
+        rules = (MultiUnit(2, 5), universal_b(5),
                  mixture(MultiUnit(1, 5), uniform_stair(5), 0.25))
         for rule in rules:
             back = pickle.loads(pickle.dumps(rule))
             assert back == rule and back.describe() == rule.describe()
-            assert not back._w.flags.writeable
+            assert not back.w.flags.writeable
 
     def test_describe_strings(self):
         assert MultiUnit(3, 8).describe() == "3-unit(n=8)"
-        assert Position(universal_b(5)).describe() == "position(1,0.5,0.5,0.5,0)"
+        assert universal_b(5).describe() == "position(1,0.5,0.5,0.5,0)"
         nested = mixture(MultiUnit(1, 4), mixture(MultiUnit(2, 4), uniform_stair(4), 0.5), 0.1)
         assert nested.describe() == \
             "0.9*1-unit(n=4)+0.1*0.5*2-unit(n=4)+0.5*position(1,0.666667,0.333333,0)"
@@ -496,9 +446,9 @@ class TestRuleIdentity:
     def test_immutable(self):
         for rule in (MultiUnit(1, 4), mixture(MultiUnit(1, 4), uniform_stair(4), 0.5)):
             with pytest.raises(AttributeError):
-                rule._w = np.zeros(4)
+                rule.w = np.zeros(4)
             with pytest.raises(ValueError):
-                rule._w[0] = 0.5
+                rule.w[0] = 0.5
 
 
 @st.composite
@@ -514,7 +464,7 @@ def position_rules(draw):
         wbar[-1] = 1.0
     wbar = wbar / wbar.sum()
     w = np.minimum(np.cumsum(wbar[::-1])[::-1][1:], 1.0)  # w_k = sum_{j>=k} wbar_j
-    return Position(PositionWeights(w))
+    return AllocationRule(w)
 
 
 def loop_runs(w):
@@ -558,7 +508,7 @@ class TestRunFinder:
     exactly the runs of the entry-by-entry walk, as Python ints and floats."""
 
     def check(self, rule):
-        assert rule._runs == loop_runs(rule._w)
+        assert rule._runs == loop_runs(rule.w)
         assert all(tuple(map(type, run)) == (int, int, float) for run in rule._runs)
 
     @settings(max_examples=100, deadline=None)
@@ -590,7 +540,7 @@ def multi_unit_int(k, n, q):
 
 
 def per_term(fn, rule, q):
-    wbar = marginal_weights(rule.weights).wbar
+    wbar = marginals(rule)
     terms = (wbar[k] * fn(k, rule.n, q) for k in range(1, rule.n + 1) if wbar[k] != 0.0)
     return sum(terms, np.zeros_like(q))
 
@@ -630,7 +580,7 @@ class TestRunEvaluation:
     def test_integral_endpoints(self):
         # int_0^1 x_k = k/n, so int_0^1 x is the mean position weight
         cases = ((MultiUnit(1, 8), 1 / 8), (MultiUnit(8, 8), 1.0),
-                 (Position(universal_b(33)), (1.0 + 0.5 * 31) / 33),
+                 (universal_b(33), (1.0 + 0.5 * 31) / 33),
                  (mixture(MultiUnit(1023, 1024), MultiUnit(1, 1024), 0.001),
                   0.999 * 1023 / 1024 + 0.001 / 1024))
         for rule, mean_w in cases:

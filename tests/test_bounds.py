@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionab.alloc import SLOPE_GRID, MultiUnit, Position, PositionWeights, mixture, uniform_stair
+from auctionab.alloc import LIMITS, SLOPE_GRID, AllocationRule, MultiUnit, mixture, uniform_stair
 from auctionab.bounds import (
     BoundInputs,
     bound_allpay_k,
@@ -19,6 +20,7 @@ from auctionab.bounds import (
     bound_welfare,
     normalized_table_bound,
 )
+from auctionab.estim import SourceGrid
 
 
 def inputs_for(design, n, N, eps=0.001):
@@ -71,7 +73,7 @@ def rule_pairs(draw):
     """Two position rules on one n, with runs of equal weights and drifting ones."""
     n = draw(st.integers(2, 40))
     value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
-    return tuple(Position(PositionWeights(np.sort(draw(st.lists(value, min_size=n, max_size=n)))[::-1]))
+    return tuple(AllocationRule(np.sort(draw(st.lists(value, min_size=n, max_size=n)))[::-1])
                  for _ in range(2))
 
 
@@ -223,3 +225,23 @@ class TestNormalizedTableBound:
         for design in (1, 2, 3):
             assert math.isfinite(normalized_table_bound(design, 4, 5e-324))
         assert math.copysign(1.0, normalized_table_bound(2, 4, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("limit, call", [
+    ("N", lambda: SourceGrid("allpay", uniform_stair(4), 0)),
+    ("N", lambda: SourceGrid("allpay", uniform_stair(4), -1)),
+    ("N", lambda: bound_ideal_ab(0.5, 0, 1.0)),
+    ("N", lambda: bound_mixture(0.5, 0, 4, 1.0)),
+    ("N", lambda: bound_universal(0.5, 0, 4)),
+    ("N", lambda: bound_welfare(0.5, 0, 4)),
+    ("N", lambda: bound_expected_value(0, 4, 1.0, 1.0)),
+    ("n", lambda: bound_classifier(100, 1, 1.0, 1.0, 0.1)),
+    ("n", lambda: bound_expected_value(100, 0, 1.0, 1.0)),
+    ("n", lambda: normalized_table_bound(1, 0, 0.001)),
+], ids=["SourceGrid_N0", "SourceGrid_N-1", "ideal_ab", "mixture", "universal", "welfare",
+        "expected_value_N0", "classifier_n1", "expected_value_n0", "normalized_table_n0"])
+def test_sample_size_and_agent_count_checked(limit, call):
+    """N and n fail with the message of the shared table of input limits,
+    not a ZeroDivisionError, a math domain error or a numpy warning."""
+    with pytest.raises(ValueError, match=re.escape(LIMITS[limit][1])):
+        call()

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import auctionab
-from auctionab.alloc import LIMITS, Position, parse_rule, universal_b
+from auctionab.alloc import LIMITS, parse_rule, universal_b
 from auctionab.cli import build_parser, cli_main
 from auctionab.dist import Beta22, QuantileGrid
-from auctionab.equil import allpay_bid_curve, bid_curve, sample_bids, write_bid_csv
+from auctionab.equil import ALL_PAY, bid_curve, sample_bids, write_bid_csv
 
 
 def run(capsys, argv):
@@ -67,8 +67,8 @@ class TestSimulate:
 class TestEstimate:
     @pytest.fixture()
     def bids_csv(self, tmp_path):
-        x = Position(universal_b(8))
-        curve = allpay_bid_curve(Beta22(), x, QuantileGrid(2000))
+        x = universal_b(8)
+        curve = bid_curve(ALL_PAY, Beta22(), x, QuantileGrid(2000))
         sample = sample_bids(curve, 400, 3)
         path = tmp_path / "bids.csv"
         write_bid_csv(sample, path)
@@ -171,7 +171,7 @@ class TestEstimate:
         """All-pay bids of the one-unit rule at n = 256: the source's slope is
         tiny but positive on the bound's grid, the bound overflows to inf, and
         the run exits 1 without a numpy warning."""
-        curve = allpay_bid_curve(Beta22(), parse_rule("k-unit:1", 256), QuantileGrid(10_000))
+        curve = bid_curve(ALL_PAY, Beta22(), parse_rule("k-unit:1", 256), QuantileGrid(10_000))
         path = tmp_path / "bids.csv"
         write_bid_csv(sample_bids(curve, 100, 0), path)
         with warnings.catch_warnings():
@@ -344,7 +344,7 @@ class TestNumericFlags:
     @pytest.fixture(scope="class")
     def bids(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bids") / "bids.csv"
-        curve = allpay_bid_curve(Beta22(), Position(universal_b(4)), QuantileGrid(200))
+        curve = bid_curve(ALL_PAY, Beta22(), universal_b(4), QuantileGrid(200))
         write_bid_csv(sample_bids(curve, 50, 0), path)
         return path
 
@@ -453,7 +453,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     bounds, run in turn in this process, print the bytes and exit codes
     that each prints in a fresh interpreter."""
     bids = tmp_path / "bids.csv"
-    curve = allpay_bid_curve(Beta22(), Position(universal_b(8)), QuantileGrid(500))
+    curve = bid_curve(ALL_PAY, Beta22(), universal_b(8), QuantileGrid(500))
     write_bid_csv(sample_bids(curve, 300, 4), bids)
     commands = [
         ["estimate", "--bids", str(bids), "--source", "universal-b", "--target", "k-unit:3",

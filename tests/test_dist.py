@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from auctionab.alloc import (
-    MultiUnit,
-    Position,
-    PositionWeights,
-    marginal_weights,
-    uniform_stair,
-    uniform_stair_weights,
-)
+from auctionab.alloc import AllocationRule, MultiUnit, uniform_stair
 from auctionab.dist import (
     Beta22,
     QuantileGrid,
@@ -95,8 +88,7 @@ class TestGridValues:
         q, rule = GRID.q, uniform_stair(8)
         assert true_revenue(d, rule, GRID) == float(np.trapezoid(_revenue(q, d.v(q)) * rule.xprime(q), q))
         assert expected_value(d, GRID) == float(np.trapezoid(d.v(q), q))
-        w = uniform_stair_weights(8)
-        assert true_welfare(d, w, GRID) == float(np.trapezoid(d.v(q) * Position(w).x(q), q))
+        assert true_welfare(d, rule, GRID) == float(np.trapezoid(d.v(q) * rule.x(q), q))
 
 
 class TestTrueRevenue:
@@ -122,9 +114,9 @@ class TestTrueRevenue:
 
     def test_revenue_equivalence_decomposition(self):
         d = Beta22()
-        w = PositionWeights([0.9, 0.7, 0.4, 0.1])
-        wbar = marginal_weights(w).wbar
-        direct = true_revenue(d, Position(w), GRID)
+        w = np.array([0.9, 0.7, 0.4, 0.1])
+        wbar = np.concatenate(([1.0 - w[0]], w[:-1] - w[1:], [w[-1]]))
+        direct = true_revenue(d, AllocationRule(w), GRID)
         parts = sum(wbar[k] * true_revenue(d, MultiUnit(k, 4), GRID) for k in range(1, 5))
         assert direct == pytest.approx(parts, abs=1e-6)
 
@@ -133,7 +125,7 @@ class TestTrueWelfare:
     @pytest.mark.parametrize("n", [8, 256, 1024])
     def test_uniform_stair_beta22_eleven_35ths(self, n):
         # x(q) = q, so the welfare is E[v q] = int_0^1 v (3v^2 - 2v^3) 6v(1-v) dv
-        assert true_welfare(Beta22(), uniform_stair_weights(n), GRID) == pytest.approx(11 / 35, abs=1e-6)
+        assert true_welfare(Beta22(), uniform_stair(n), GRID) == pytest.approx(11 / 35, abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, 5, 16, 64])
     def test_uniform_order_statistic_means(self, n):
@@ -141,12 +133,12 @@ class TestTrueWelfare:
         w = np.sort(np.random.default_rng(n).random(n))[::-1]
         k = np.arange(1, n + 1)
         want = np.sum(w * (n + 1 - k) / (n + 1)) / n
-        assert true_welfare(Uniform01(), PositionWeights(w), GRID) == pytest.approx(want, abs=1e-8)
+        assert true_welfare(Uniform01(), AllocationRule(w), GRID) == pytest.approx(want, abs=1e-8)
 
     def test_serve_everyone_equals_mean_value(self):
-        w = PositionWeights([1.0, 1.0, 1.0])
-        assert true_welfare(Uniform01(), w, GRID) == pytest.approx(0.5, abs=1e-12)
+        y = AllocationRule([1.0, 1.0, 1.0])
+        assert true_welfare(Uniform01(), y, GRID) == pytest.approx(0.5, abs=1e-12)
 
     def test_one_unit_two_uniform_agents(self):
-        w = PositionWeights([1.0, 0.0])
-        assert true_welfare(Uniform01(), w, GRID) == pytest.approx(1 / 3, abs=1e-8)
+        y = MultiUnit(1, 2)
+        assert true_welfare(Uniform01(), y, GRID) == pytest.approx(1 / 3, abs=1e-8)

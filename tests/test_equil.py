@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionab.alloc import (
+    AllocationRule,
     DegenerateRuleError,
     MultiUnit,
-    Position,
-    PositionWeights,
     mixture,
     uniform_stair,
 )
@@ -23,10 +22,8 @@ from auctionab.equil import (
     FIRST_PRICE,
     BidCurve,
     BidSample,
-    allpay_bid_curve,
     bid_curve,
     check_sidecar,
-    firstprice_bid_curve,
     invert,
     read_bid_csv,
     sample_bids,
@@ -38,25 +35,25 @@ GRID = QuantileGrid(10_000)
 
 class TestAllPayCurve:
     def test_uniform_stair_quadratic(self):
-        c = allpay_bid_curve(Uniform01(), uniform_stair(2), GRID)
+        c = bid_curve(ALL_PAY, Uniform01(), uniform_stair(2), GRID)
         idx = int(0.6 * GRID.m)
         assert c.b[idx] == pytest.approx(0.18, abs=1e-6)
         np.testing.assert_allclose(c.b, GRID.q**2 / 2, atol=1e-6)
 
     def test_never_serve_rule_bids_zero(self):
-        rule = Position(PositionWeights([0.0, 0.0]))
-        c = allpay_bid_curve(Uniform01(), rule, GRID)
+        rule = AllocationRule([0.0, 0.0])
+        c = bid_curve(ALL_PAY, Uniform01(), rule, GRID)
         np.testing.assert_array_equal(c.b, 0.0)
 
     def test_one_unit_two_bidder_endpoint(self):
         # b(1) = integral of v x' over [0,1]; for Uniform01 with x=q this is 1/2
-        c = allpay_bid_curve(Uniform01(), MultiUnit(1, 2), GRID)
+        c = bid_curve(ALL_PAY, Uniform01(), MultiUnit(1, 2), GRID)
         assert c.b[-1] == pytest.approx(0.5, abs=1e-6)
 
     def test_starts_at_zero_and_monotone(self):
         for d in (Uniform01(), Beta22()):
             for rule in (MultiUnit(1, 8), MultiUnit(5, 8), uniform_stair(8)):
-                c = allpay_bid_curve(d, rule, GRID)
+                c = bid_curve(ALL_PAY, d, rule, GRID)
                 assert c.b[0] == 0.0
                 assert np.all(np.diff(c.b) >= -1e-15)
 
@@ -67,35 +64,35 @@ class TestAllPayCurve:
         g = QuantileGrid(m)
         for rule in (MultiUnit(1, 32), MultiUnit(31, 32), uniform_stair(32)):
             ref = cumulative_trapezoid(Beta22().v(g.q) * rule.xprime(g.q), g.q, initial=0.0)
-            assert allpay_bid_curve(Beta22(), rule, g).b.tobytes() == ref.tobytes()
+            assert bid_curve(ALL_PAY, Beta22(), rule, g).b.tobytes() == ref.tobytes()
 
     def test_mean_bid_equals_per_agent_revenue(self):
         # all-pay: every agent pays their bid, so E[b] is the per-agent revenue
         d = Beta22()
         rule = MultiUnit(2, 6)
-        c = allpay_bid_curve(d, rule, GRID)
+        c = bid_curve(ALL_PAY, d, rule, GRID)
         assert np.trapezoid(c.b, GRID.q) == pytest.approx(true_revenue(d, rule, GRID), abs=1e-5)
 
 
 class TestFirstPriceCurve:
     def test_two_bidder_half_value(self):
-        c = firstprice_bid_curve(Uniform01(), MultiUnit(1, 2), GRID)
+        c = bid_curve(FIRST_PRICE, Uniform01(), MultiUnit(1, 2), GRID)
         np.testing.assert_allclose(c.b, GRID.q / 2, atol=1e-4)
 
     def test_no_overbidding(self):
         for d in (Uniform01(), Beta22()):
             for rule in (MultiUnit(1, 5), MultiUnit(3, 5), uniform_stair(5)):
-                c = firstprice_bid_curve(d, rule, GRID)
+                c = bid_curve(FIRST_PRICE, d, rule, GRID)
                 assert np.all(c.b <= d.v(GRID.q) + 1e-12)
 
     def test_monotone(self):
-        c = firstprice_bid_curve(Beta22(), MultiUnit(2, 8), GRID)
+        c = bid_curve(FIRST_PRICE, Beta22(), MultiUnit(2, 8), GRID)
         assert np.all(np.diff(c.b) >= -1e-12)
 
     def test_never_serve_raises(self):
-        rule = Position(PositionWeights([0.0, 0.0]))
+        rule = AllocationRule([0.0, 0.0])
         with pytest.raises(DegenerateRuleError):
-            firstprice_bid_curve(Uniform01(), rule, GRID)
+            bid_curve(FIRST_PRICE, Uniform01(), rule, GRID)
 
 
 class TestInversion:
@@ -122,41 +119,34 @@ class TestInversion:
         assert np.all(np.isnan(v[xp <= 1e-9]))
         assert not np.any(np.isnan(v[xp > 1e-9]))
 
-    def test_format_mismatch_rejected(self):
-        c = bid_curve(ALL_PAY, Uniform01(), uniform_stair(4), GRID)
-        from auctionab.equil import invert_firstprice
-
-        with pytest.raises(ValueError):
-            invert_firstprice(c)
-
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        c = allpay_bid_curve(Beta22(), uniform_stair(4), GRID)
+        c = bid_curve(ALL_PAY, Beta22(), uniform_stair(4), GRID)
         a = sample_bids(c, 500, 42)
         b = sample_bids(c, 500, 42)
         np.testing.assert_array_equal(a.bids, b.bids)
 
     def test_sorted_and_sized(self):
-        c = allpay_bid_curve(Beta22(), uniform_stair(4), GRID)
+        c = bid_curve(ALL_PAY, Beta22(), uniform_stair(4), GRID)
         s = sample_bids(c, 1000, 7)
         assert s.size == 1000
         assert np.all(np.diff(s.bids) >= 0)
 
     def test_single_draw_is_grid_bid(self):
-        c = allpay_bid_curve(Uniform01(), uniform_stair(4), GRID)
+        c = bid_curve(ALL_PAY, Uniform01(), uniform_stair(4), GRID)
         s = sample_bids(c, 1, 3)
         assert s.bids[0] in c.b
 
     def test_empirical_cdf_close_to_curve_cdf(self):
-        c = allpay_bid_curve(Beta22(), uniform_stair(4), QuantileGrid(1000))
+        c = bid_curve(ALL_PAY, Beta22(), uniform_stair(4), QuantileGrid(1000))
         s = sample_bids(c, 1_000_000, 0)
         # sup gap between empirical CDF of samples and the uniform grid CDF
         ghat = np.searchsorted(s.bids, c.b, side="right") / s.size
         assert np.max(np.abs(ghat - c.grid.q)) <= 2e-3
 
     def test_invalid_size(self):
-        c = allpay_bid_curve(Uniform01(), uniform_stair(4), GRID)
+        c = bid_curve(ALL_PAY, Uniform01(), uniform_stair(4), GRID)
         with pytest.raises(ValueError):
             sample_bids(c, 0, 1)
 
@@ -209,14 +199,14 @@ class TestDraw:
     @pytest.mark.parametrize("N", [1, 50_000, 4 * 70_001 - 1, 4 * 70_001])
     def test_grid_wider_than_16_bits(self, N):
         # indices above 2**16 must survive the index path
-        c = allpay_bid_curve(Beta22(), uniform_stair(8), QuantileGrid(70_000))
+        c = bid_curve(ALL_PAY, Beta22(), uniform_stair(8), QuantileGrid(70_000))
         assert c.ordered
         out = c.draw(N, 21)
         assert out.tobytes() == _sorted_gather(c, N, 21).tobytes()
 
     def test_equilibrium_curves_are_ordered(self):
         for rule in (MultiUnit(1, 8), MultiUnit(7, 8), uniform_stair(8)):
-            assert allpay_bid_curve(Beta22(), rule, GRID).ordered
+            assert bid_curve(ALL_PAY, Beta22(), rule, GRID).ordered
 
 
 class TestBidSample:
@@ -347,7 +337,7 @@ class TestCsvIo:
         np.testing.assert_array_equal(read_bid_csv(path, ALL_PAY, uniform_stair(4)).bids, [0.25, 0.5])
 
     def test_round_trip_with_sidecar(self, tmp_path):
-        c = allpay_bid_curve(Beta22(), uniform_stair(4), QuantileGrid(100))
+        c = bid_curve(ALL_PAY, Beta22(), uniform_stair(4), QuantileGrid(100))
         s = sample_bids(c, 50, 5)
         path = tmp_path / "bids.csv"
         write_bid_csv(s, path)

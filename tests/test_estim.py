@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 import auctionab
 from auctionab.abtest import best_of_r, compare_revenues, revenue_verdict
 from auctionab.alloc import (
+    AllocationRule,
     MultiUnit,
-    Position,
-    PositionWeights,
-    marginal_weights,
     mixture,
     uniform_stair,
-    uniform_stair_weights,
     universal_b,
 )
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, expected_value, true_revenue
-from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, allpay_bid_curve, bid_curve, sample_bids
+from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, bid_curve, sample_bids
 from auctionab.harness import trial_estimates
 from auctionab.estim import DegenerateSourceError, SourceGrid, estimate, estimate_revenue, estimate_welfare
 
@@ -26,7 +23,7 @@ GRID = QuantileGrid(10_000)
 
 
 def allpay_sample(dist, rule, N, seed, grid=GRID):
-    return sample_bids(allpay_bid_curve(dist, rule, grid), N, seed)
+    return sample_bids(bid_curve(ALL_PAY, dist, rule, grid), N, seed)
 
 
 def mean_value(sample, x):
@@ -51,7 +48,7 @@ class TestExactIdentities:
         np.testing.assert_allclose(w, 1 / 100, atol=1e-15)
 
     def test_linearity_in_target(self):
-        x = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5)
+        x = mixture(MultiUnit(1, 8), universal_b(8), 0.5)
         s = allpay_sample(Beta22(), x, 500, 1)
         y1, y2 = MultiUnit(2, 8), MultiUnit(5, 8)
         lam = 0.3
@@ -61,7 +58,7 @@ class TestExactIdentities:
         assert abs(direct - combo) <= 1e-12
 
     def test_linearity_first_price(self):
-        x = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5)
+        x = mixture(MultiUnit(1, 8), universal_b(8), 0.5)
         s = sample_bids(bid_curve(FIRST_PRICE, Beta22(), x, GRID), 500, 1)
         y1, y2 = MultiUnit(2, 8), MultiUnit(5, 8)
         ymix = mixture(y1, y2, 0.5)
@@ -76,7 +73,7 @@ class TestAllPayEstimator:
         d = Beta22()
         x = mixture(uniform_stair(8), MultiUnit(1, 8), 0.05)
         y = MultiUnit(1, 8)
-        curve = allpay_bid_curve(d, x, GRID)
+        curve = bid_curve(ALL_PAY, d, x, GRID)
         truth = true_revenue(d, y, GRID)
         mads = []
         for N in (1000, 100_000):
@@ -89,9 +86,9 @@ class TestAllPayEstimator:
 
     def test_small_bias_at_large_n_samples(self):
         d = Beta22()
-        x = Position(universal_b(8))
+        x = universal_b(8)
         y = MultiUnit(3, 8)
-        curve = allpay_bid_curve(d, x, GRID)
+        curve = bid_curve(ALL_PAY, d, x, GRID)
         truth = true_revenue(d, y, GRID)
         est = np.mean(
             [estimate_revenue(sample_bids(curve, 10_000, np.random.SeedSequence((22, t))), x, y).point
@@ -100,7 +97,7 @@ class TestAllPayEstimator:
         assert abs(est - truth) <= 2e-3
 
     def test_degenerate_source_raises(self):
-        rule = Position(PositionWeights([0.0, 0.0]))
+        rule = AllocationRule([0.0, 0.0])
         s = allpay_sample(Uniform01(), uniform_stair(2), 100, 0)
         with pytest.raises(DegenerateSourceError):
             estimate_revenue(s, rule, uniform_stair(2))
@@ -133,8 +130,8 @@ class TestAllPayEstimator:
         x = MultiUnit(1, 200)
         s = BidSample(ALL_PAY, x, np.concatenate([np.zeros(2), np.linspace(0.1, 0.5, 98)]))
         with pytest.raises(DegenerateSourceError, match=r"q=0\.02$"):
-            estimate_welfare(s, x, uniform_stair_weights(200))
-        assert np.isfinite(estimate_welfare(s, x, x.weights).point)
+            estimate_welfare(s, x, uniform_stair(200))
+        assert np.isfinite(estimate_welfare(s, x, x).point)
 
     def test_expected_value_never_uses_the_ends(self):
         # at N = 20 only edge 0 (clamped to q = 0.025) is flat: revenue uses
@@ -164,7 +161,7 @@ class TestFirstPriceEstimator:
 
     def test_self_weights_integrate_the_rule(self):
         # with y = x, F is the integral of x, so each weight is x's cell mass
-        x = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5)
+        x = mixture(MultiUnit(1, 8), universal_b(8), 0.5)
         q = np.arange(501) / 500
         np.testing.assert_allclose(SourceGrid(FIRST_PRICE, x, 500).weights(x), np.diff(x.xint(q)),
                                    rtol=0.0, atol=1e-15)
@@ -196,7 +193,7 @@ class TestFirstPriceEstimator:
 
 class TestMultiUnitVector:
     def test_vector_matches_individual_estimates(self):
-        x = Position(universal_b(8))
+        x = universal_b(8)
         s = allpay_sample(Beta22(), x, 2000, 5)
         vec = multiunit_revenues(s, x)
         assert len(vec) == 7
@@ -212,8 +209,7 @@ def multi_target_cases(draw):
     weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
     def rule():
-        return Position(PositionWeights(sorted(draw(st.lists(weight, min_size=n, max_size=n)),
-                                               reverse=True)))
+        return AllocationRule(sorted(draw(st.lists(weight, min_size=n, max_size=n)), reverse=True))
 
     x = mixture(rule(), uniform_stair(n), 0.5)
     ys = [rule() for _ in range(draw(st.integers(2, 5)))]
@@ -243,17 +239,17 @@ class TestMultiTarget:
         if s.format == ALL_PAY:
             # SW = w_1 vbar - sum_k (w_1 - w_{k+1}) P_k / k, each term summed
             # by parts on the full grid of edges
-            w = ys[0].weights
+            y = ys[0]
             vbar = mean_value(s, x)
-            c = (w.w[0] - w.w[1:]) / np.arange(1, w.n)
-            want = float(w.w[0] * vbar - np.sum(c * np.array(pk)))
+            c = (y.w[0] - y.w[1:]) / np.arange(1, y.n)
+            want = float(y.w[0] * vbar - np.sum(c * np.array(pk)))
             grid = SourceGrid(ALL_PAY, x, s.size)
             steps = np.abs(np.diff(s.bids, prepend=0.0, append=0.0))
             value = np.where((grid.q > 0.0) & (grid.q < 1.0), 1.0 / grid.xp, 0.0)
-            scale = steps @ (w.w[0] * np.abs(value)
+            scale = steps @ (y.w[0] * np.abs(value)
                              + sum(abs(ck) * np.abs(grid.kernel(u)) for ck, u in zip(c, units)))
-            assert abs(estimate_welfare(s, x, w).point - want) <= 1e-12 * scale
-            assert estimate_welfare(s, x, MultiUnit(x.n, x.n).weights).point == vbar
+            assert abs(estimate_welfare(s, x, y).point - want) <= 1e-12 * scale
+            assert estimate_welfare(s, x, MultiUnit(x.n, x.n)).point == vbar
 
 
 class TestIncrementForm:
@@ -274,7 +270,7 @@ class TestIncrementForm:
 
         def rule():
             w = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
-            return Position(PositionWeights(np.sort(w)[::-1]))
+            return AllocationRule(np.sort(w)[::-1])
 
         x, y = mixture(rule(), uniform_stair(n), 0.5), rule()
         bids = np.sort(rng.choice(rng.random(levels), N) if levels else rng.random(N))
@@ -296,12 +292,12 @@ class TestIncrementForm:
         # x' of one-unit + 10% universal-B spans up to 74 decades here; in
         # weight form E[v] and welfare cancel to rounding noise (E[v] was
         # -3.2e15 at n = 128 and 1.7e54 at n = 256, the same at every seed)
-        x = mixture(MultiUnit(1, n), Position(universal_b(n)), 0.1)
-        curve = allpay_bid_curve(Beta22(), x, GRID)
+        x = mixture(MultiUnit(1, n), universal_b(n), 0.1)
+        curve = bid_curve(ALL_PAY, Beta22(), x, GRID)
         for seed in range(5):
             s = sample_bids(curve, 10_000, seed)
             for est in (mean_value(s, x),
-                        estimate_welfare(s, x, uniform_stair_weights(n)).point):
+                        estimate_welfare(s, x, uniform_stair(n)).point):
                 assert np.isfinite(est) and 0.0 <= est < 1.0
 
 
@@ -316,7 +312,7 @@ class TestExpectedValue:
     def test_design3_source_beta22(self):
         d = Beta22()
         x = mixture(MultiUnit(7, 8), MultiUnit(1, 8), 0.001)
-        curve = allpay_bid_curve(d, x, GRID)
+        curve = bid_curve(ALL_PAY, d, x, GRID)
         est = np.mean(
             [mean_value(sample_bids(curve, 100_000, np.random.SeedSequence((25, t))), x)
              for t in range(20)]
@@ -331,17 +327,17 @@ class TestExpectedValue:
 
 class TestWelfare:
     def test_serve_everyone_equals_expected_value(self):
-        w = PositionWeights([1.0, 1.0, 1.0, 1.0])
-        x = Position(universal_b(4))
+        y = AllocationRule([1.0, 1.0, 1.0, 1.0])
+        x = universal_b(4)
         s = allpay_sample(Beta22(), x, 5000, 6)
-        assert estimate_welfare(s, x, w).point == mean_value(s, x)
+        assert estimate_welfare(s, x, y).point == mean_value(s, x)
 
     def test_one_unit_two_uniform_agents(self):
-        w = PositionWeights([1.0, 0.0])
+        y = MultiUnit(1, 2)
         x = uniform_stair(2)
-        curve = allpay_bid_curve(Uniform01(), x, GRID)
+        curve = bid_curve(ALL_PAY, Uniform01(), x, GRID)
         sw = np.mean(
-            [estimate_welfare(sample_bids(curve, 20_000, np.random.SeedSequence((26, t))), x, w).point
+            [estimate_welfare(sample_bids(curve, 20_000, np.random.SeedSequence((26, t))), x, y).point
              for t in range(30)]
         )
         assert sw == pytest.approx(1 / 3, abs=3e-3)
@@ -351,7 +347,7 @@ class TestAgentCounts:
     """A target or a bid sample for another number of agents than the
     source rule is rejected by every entry point."""
 
-    X = Position(universal_b(8))
+    X = universal_b(8)
     SAMPLE = BidSample(ALL_PAY, X, np.linspace(0.1, 0.5, 50))
     OTHER = MultiUnit(2, 4)
 
@@ -360,10 +356,10 @@ class TestAgentCounts:
         lambda s, x, y: estimate(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: best_of_r(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: compare_revenues(s, x, MultiUnit(1, 8), y),
-        lambda s, x, y: estimate_welfare(s, x, y.weights),
-        lambda s, x, y: estimate_welfare(s, x, PositionWeights([1.0, 0.0])),
+        lambda s, x, y: estimate_welfare(s, x, y),
+        lambda s, x, y: estimate_welfare(s, x, AllocationRule([1.0, 0.0])),
         lambda s, x, y: SourceGrid(ALL_PAY, x, 50).weights(y),
-        lambda s, x, y: trial_estimates(allpay_bid_curve(Uniform01(), x, GRID), x, (y,), 50, 0, 2),
+        lambda s, x, y: trial_estimates(bid_curve(ALL_PAY, Uniform01(), x, GRID), x, (y,), 50, 0, 2),
     ], ids=["estimate_revenue", "estimate_revenues", "best_of_r", "compare_revenues",
             "estimate_welfare", "estimate_welfare_two_weights", "weights", "trial_estimates"])
     def test_target_for_other_agent_count_rejected(self, call):
@@ -374,7 +370,7 @@ class TestAgentCounts:
         lambda s, x: estimate_revenue(s, x, x),
         lambda s, x: multiunit_revenues(s, x),
         lambda s, x: mean_value(s, x),
-        lambda s, x: estimate_welfare(s, x, x.weights),
+        lambda s, x: estimate_welfare(s, x, x),
     ], ids=["estimate_revenue", "estimate_multiunit_revenues", "estimate_expected_value",
             "estimate_welfare"])
     def test_sample_for_other_agent_count_rejected(self, call):
@@ -387,16 +383,16 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
     def test_estimate_revenue_is_estimate(self, fmt):
-        x, y = mixture(MultiUnit(1, 8), Position(universal_b(8)), 0.5), MultiUnit(3, 8)
+        x, y = mixture(MultiUnit(1, 8), universal_b(8), 0.5), MultiUnit(3, 8)
         s = sample_bids(bid_curve(fmt, Beta22(), x, GRID), 500, 4)
         got = auctionab.estimate_revenue(s, x, y).point
         assert got.hex() == float(estimate(s, x, [y])[0]).hex()
 
     def test_estimate_welfare_is_welfare_measure(self):
-        x, w = Position(universal_b(8)), uniform_stair_weights(8)
+        x, y = universal_b(8), uniform_stair(8)
         s = allpay_sample(Beta22(), x, 500, 4)
-        got = auctionab.estimate_welfare(s, x, w).point
-        assert got.hex() == float(estimate(s, x, [Position(w)], "welfare")[0]).hex()
+        got = auctionab.estimate_welfare(s, x, y).point
+        assert got.hex() == float(estimate(s, x, [y], "welfare")[0]).hex()
 
     @pytest.mark.parametrize("measure", ["Revenue", "expected_value", ""])
     def test_unknown_measure_rejected(self, measure):

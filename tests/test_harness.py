@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from auctionab.alloc import MultiUnit, mixture, uniform_stair
-from auctionab.equil import FIRST_PRICE, allpay_bid_curve, bid_curve
+from auctionab.equil import ALL_PAY, FIRST_PRICE, bid_curve
 from auctionab.dist import Beta22, QuantileGrid, grid_values, true_revenue
 from auctionab.harness import (
     CSV_HEADER,
@@ -71,7 +71,7 @@ class TestRunDesign:
         # MAD is sd * sqrt(2/pi) / sqrt(N)
         us = uniform_stair(8)
         grid = QuantileGrid(10_000)
-        curve = allpay_bid_curve(Beta22(), us, grid)
+        curve = bid_curve(ALL_PAY, Beta22(), us, grid)
         est = trial_estimates(curve, us, (us,), 2000, 5, 400)[:, 0]
         raw_mad = 8 * np.mean(np.abs(est - true_revenue(Beta22(), us, grid)))
         sd = np.std(curve.b)
