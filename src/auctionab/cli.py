@@ -31,16 +31,17 @@ from .dist import QuantileGrid, make_distribution, true_revenue
 from .equil import ALL_PAY, FIRST_PRICE, bid_curve, check_sidecar, read_bid_csv
 from .estim import DegenerateSourceError, estimate
 from .harness import (
-    CSV_HEADER,
-    CSV_SCHEMA,
     ExperimentSpec,
+    MadResult,
     design_rules,
     epsilon_sweep,
     full_table,
-    mad_csv_row,
     run_design,
     trial_estimates,
 )
+
+CSV_SCHEMA = "# auctionab-mad-v1"
+CSV_HEADER = "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"
 
 
 def _read_config(path: str) -> list[str]:
@@ -81,14 +82,22 @@ def _sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default=ALL_PAY, choices=(ALL_PAY, FIRST_PRICE))
 
 
+def mad_csv_row(spec: ExperimentSpec, result: MadResult) -> str:
+    """One simulate or table row: the cell, its MAD and its normalized bound."""
+    bound = normalized_table_bound(spec.design, spec.n, spec.eps)
+    return (
+        f"{spec.design},{spec.n},{spec.N},{spec.eps:g},{spec.trials},{spec.seed},"
+        f"{result.raw_mad:.10g},{result.normalized_mad:.10g},"
+        f"{result.norm_sqrt_N_over_n_alt:.10g},{bound:.10g}"
+    )
+
+
 def cmd_simulate(args) -> list[str]:
     spec = ExperimentSpec(
         design=args.design, n=args.n, N=args.N, eps=args.eps, trials=args.trials,
         grid_m=args.grid_m, dist=args.dist, format=args.format, seed=args.seed,
     )
-    result = run_design(spec)
-    bound = normalized_table_bound(spec.design, spec.n, spec.eps)
-    return [CSV_SCHEMA, CSV_HEADER, mad_csv_row(spec, result, bound)]
+    return [CSV_SCHEMA, CSV_HEADER, mad_csv_row(spec, run_design(spec))]
 
 
 def cmd_sweep(args) -> list[str]:
@@ -177,12 +186,9 @@ def cmd_table(args) -> list[str]:
     # every cell's n and N are checked before the first cell runs
     ns = [check("n", int(v)) for v in args.ns.split(",")] if args.ns else None
     sizes = [check("N", int(v)) for v in args.sample_sizes.split(",")] if args.sample_sizes else None
-    out = [CSV_SCHEMA, CSV_HEADER]
-    for spec, result in full_table(args.design, args.seed, eps=args.eps,
-                                   trials=args.trials, ns=ns, sample_sizes=sizes):
-        bound = normalized_table_bound(spec.design, spec.n, spec.eps)
-        out.append(mad_csv_row(spec, result, bound))
-    return out
+    cells = full_table(args.design, args.seed, eps=args.eps, trials=args.trials,
+                       ns=ns, sample_sizes=sizes)
+    return [CSV_SCHEMA, CSV_HEADER, *(mad_csv_row(spec, result) for spec, result in cells)]
 
 
 @functools.cache

@@ -157,6 +157,9 @@ def invert(curve: BidCurve) -> np.ndarray:
     b(q) + x(q) b'(q)/x'(q) for first-price.  Quantiles where the rule's
     slope is below EPS_SLOPE are reported as NaN gaps, never interpolated
     silently."""
+    if curve.grid.m < 2:
+        raise ValueError("inverting a bid curve needs a grid of at least 2 cells, "
+                         f"got {curve.grid.m}")
     rule, q = curve.rule, curve.grid.q
     xp = rule.xprime(q)
     ok = xp > EPS_SLOPE

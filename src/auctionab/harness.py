@@ -1,13 +1,12 @@
 """Monte Carlo experiment runner: the three benchmark designs, mean
-absolute deviation tables, the mixture-weight sweep, and CSV emission.
+absolute deviation tables and the mixture-weight sweep.
 
 Every experiment is deterministic given its seed: trial t uses a fresh
 generator seeded with SeedSequence((seed, t)), so results are independent
-of execution order and safe to parallelize.
+of execution order.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,9 +15,6 @@ from .alloc import AllocationRule, MultiUnit, check, mixture, uniform_stair
 from .dist import QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
 from .estim import SourceGrid
-
-CSV_SCHEMA = "# auctionab-mad-v1"
-CSV_HEADER = "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"
 
 #: default mixture weight of the treatment arm in the benchmark designs
 DEFAULT_EPS = 0.001
@@ -84,55 +80,20 @@ class MadResult:
             raise ValueError("mean absolute deviation cannot be negative")
 
 
-def _trial_estimates(curve: BidCurve, ws: list[np.ndarray], N: int, seed: int,
-                     trials: range) -> np.ndarray:
-    # bare draws: a BidSample would re-check the sorted bids, about 30 us on
-    # top of a 140 us trial at N = m = 1e4 (2-CPU Xeon, numpy 2.4)
-    out = np.empty((len(trials), len(ws)))
-    for j, t in enumerate(trials):
-        bids = curve.draw(N, np.random.SeedSequence((seed, t)))
-        for i, w in enumerate(ws):
-            out[j, i] = w @ bids
-    return out
-
-
-def _worker(args):
-    return _trial_estimates(*args)
-
-
-def _worker_count() -> int:
-    """AUCTIONAB_WORKERS (default 1), at most the CPUs this process may use."""
-    text = os.environ.get("AUCTIONAB_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ValueError(f"AUCTIONAB_WORKERS must be an integer, got {text!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(workers, cpus)
-
-
 def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
                     trials: int) -> np.ndarray:
     """P_hat of each target in ys over `trials` replicates, one row per
     trial; every target is estimated from the trial's bids, with weights
-    built once.  Trial t is seeded from (seed, t), so the result is
-    independent of worker count (AUCTIONAB_WORKERS)."""
+    built once.  Trial t is seeded from (seed, t), so row t does not depend
+    on the other trials."""
     ws = list(map(SourceGrid(curve.format, x, N).weights, ys))
-    workers = _worker_count()
-    if workers <= 1 or trials < 4 * workers:
-        return _trial_estimates(curve, ws, N, seed, range(trials))
-    # imported here: it loads multiprocessing, which one worker never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [range(i, trials, workers) for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker, [(curve, ws, N, seed, c) for c in chunks]))
+    # bare draws: a BidSample would re-check the sorted bids, about 30 us on
+    # top of a 140 us trial at N = m = 1e4 (2-CPU Xeon, numpy 2.4)
     out = np.empty((trials, len(ws)))
-    for c, part in zip(chunks, parts):
-        out[list(c)] = part
+    for t in range(trials):
+        bids = curve.draw(N, np.random.SeedSequence((seed, t)))
+        for i, w in enumerate(ws):
+            out[t, i] = w @ bids
     return out
 
 
@@ -165,15 +126,6 @@ def run_design(spec: ExperimentSpec) -> MadResult:
         norm_sqrt_N_over_n_alt=raw * f_alt,
         truth=truth,
         mean_estimate=float(est.mean()),
-    )
-
-
-def mad_csv_row(spec: ExperimentSpec, result: MadResult, bound: float | None = None) -> str:
-    bd = "" if bound is None else f"{bound:.10g}"
-    return (
-        f"{spec.design},{spec.n},{spec.N},{spec.eps:g},{spec.trials},{spec.seed},"
-        f"{result.raw_mad:.10g},{result.normalized_mad:.10g},"
-        f"{result.norm_sqrt_N_over_n_alt:.10g},{bd}"
     )
 
 

@@ -2,7 +2,6 @@
 README's example must keep running against the library's current names."""
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -17,11 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_benchmark_workload_pass(workload, tmp_path):
     """One untraced pass of the workload: every op runs, checks out against
     its reference, and the self-test catches every planted defect."""
-    env = dict(os.environ, AUCTIONAB_WORKERS="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "workload.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "0", "--workdir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["failed"] == 0, report["failures"]

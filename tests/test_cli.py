@@ -11,9 +11,11 @@ import pytest
 
 import auctionab
 from auctionab.alloc import LIMITS, parse_rule, universal_b
-from auctionab.cli import build_parser, cli_main
+from auctionab.bounds import normalized_table_bound
+from auctionab.cli import CSV_HEADER, build_parser, cli_main, mad_csv_row
 from auctionab.dist import Beta22, QuantileGrid
 from auctionab.equil import ALL_PAY, bid_curve, sample_bids, write_bid_csv
+from auctionab.harness import ExperimentSpec, run_design
 
 
 def run(capsys, argv):
@@ -252,16 +254,32 @@ class TestCompare:
         assert captured.err == ""
         assert "nan" not in captured.out and len(captured.out.splitlines()) == 8
 
-    def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
+    def test_deterministic_output(self, capsys):
         argv = ["compare", "--b1", "k-unit:2", "--b2", "uniform-stair", "--n", "8",
                 "--N", "300", "--trials", "12", "--eps", "0.1", "--grid-m", "2000",
                 "--seed", "5"]
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "1")
-        _, serial = run(capsys, argv)
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
-        _, parallel = run(capsys, argv)
-        assert len(serial) == 2 + 12 + 2
-        assert serial == parallel
+        _, first = run(capsys, argv)
+        _, again = run(capsys, argv)
+        assert len(first) == 2 + 12 + 2
+        assert first == again
+
+
+class TestCsvRow:
+    def test_column_count_matches_header(self):
+        spec = ExperimentSpec(design=2, n=8, N=200, trials=10, seed=1)
+        row = mad_csv_row(spec, run_design(spec))
+        assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+    def test_row_carries_its_normalized_bound(self):
+        spec = ExperimentSpec(design=2, n=32, N=200, trials=10, seed=1)
+        bound = mad_csv_row(spec, run_design(spec)).split(",")[-1]
+        assert bound == f"{normalized_table_bound(2, 32, spec.eps):.10g}"
+
+    def test_bit_identical_between_runs(self):
+        spec = ExperimentSpec(design=3, n=8, N=200, trials=10, seed=2)
+        a = mad_csv_row(spec, run_design(spec))
+        b = mad_csv_row(spec, run_design(spec))
+        assert a == b
 
 
 class TestBounds:
@@ -393,7 +411,8 @@ RUN_ALL = """
 import sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
-from auctionab.cli import build_parser, cli_main
+from auctionab.bounds import normalized_table_bound
+from auctionab.cli import CSV_HEADER, build_parser, cli_main, mad_csv_row
 for argv in sys.argv[2:]:
     print("$", argv, flush=True)
     print("exit", cli_main(argv.split()), flush=True)
@@ -433,19 +452,27 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert lines[-1] == "[]"
 
 
-def test_one_worker_loads_no_process_pool():
-    """With AUCTIONAB_WORKERS=1, importing the package and running bounds
-    load neither multiprocessing nor concurrent.futures."""
+def test_trials_load_no_process_pool():
+    """Importing the package and running bounds, and the Monte Carlo trials
+    of simulate and compare, load neither multiprocessing nor
+    concurrent.futures."""
+    commands = [
+        "bounds --design 1 --n 32 --N 1000 --seed 0",
+        "simulate --design 1 --n 4 --N 100 --trials 16 --grid-m 200 --seed 0",
+        "compare --b1 k-unit:2 --b2 uniform-stair --n 8 --N 100 --trials 16 --eps 0.1 "
+        "--grid-m 200 --seed 0",
+    ]
     script = (
         "import sys, auctionab\n"
-        "print('exit', auctionab.cli_main('bounds --design 1 --n 32 --N 1000 --seed 0'.split()))\n"
+        "codes = [auctionab.cli_main(a.split()) for a in sys.argv[1:]]\n"
+        "print('exit', codes)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('multiprocessing', 'concurrent')))\n")
-    env = {**os.environ, "AUCTIONAB_WORKERS": "1",
-           "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
-    lines = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                           check=True, env=env).stdout.splitlines()
-    assert lines[-2:] == ["exit 0", "[]"]
+    env = {k: v for k, v in os.environ.items() if k != "AUCTIONAB_WORKERS"}
+    env["PYTHONPATH"] = str(Path(auctionab.__file__).parents[1])
+    lines = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True,
+                           text=True, check=True, env=env).stdout.splitlines()
+    assert lines[-2:] == ["exit [0, 0, 0]", "[]"]
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

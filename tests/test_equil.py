@@ -119,6 +119,19 @@ class TestInversion:
         assert np.all(np.isnan(v[xp <= 1e-9]))
         assert not np.any(np.isnan(v[xp > 1e-9]))
 
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_one_cell_grid_rejected(self, fmt):
+        """numpy's gradient once raised its own shape error here."""
+        c = bid_curve(fmt, Beta22(), uniform_stair(4), QuantileGrid(1))
+        with pytest.raises(ValueError, match="grid of at least 2 cells, got 1"):
+            invert(c)
+
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_two_cell_grid_inverts(self, fmt):
+        grid = QuantileGrid(2)
+        v = invert(bid_curve(fmt, Beta22(), uniform_stair(4), grid))
+        np.testing.assert_allclose(v, Beta22().v(grid.q), atol=1e-12)
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):

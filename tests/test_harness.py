@@ -1,19 +1,15 @@
-import os
-
 import numpy as np
 import pytest
 
 from auctionab.alloc import MultiUnit, mixture, uniform_stair
 from auctionab.equil import ALL_PAY, FIRST_PRICE, bid_curve
 from auctionab.dist import Beta22, QuantileGrid, grid_values, true_revenue
+from auctionab.estim import SourceGrid
 from auctionab.harness import (
-    CSV_HEADER,
     ExperimentSpec,
     MadResult,
     design_rules,
     epsilon_sweep,
-    mad_csv_row,
-    _worker_count,
     run_design,
     trial_estimates,
 )
@@ -100,25 +96,9 @@ class TestFirstPriceCells:
             se = est.std(ddof=1) / np.sqrt(5)
             assert abs(est.mean() - truth) <= 6 * se + 0.02 * truth, n
 
-    def test_bit_identical_and_worker_independent(self, monkeypatch):
+    def test_bit_identical(self):
         spec = ExperimentSpec(design=1, n=8, N=400, trials=16, format=FIRST_PRICE, seed=3)
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "1")
-        first, again = run_design(spec), run_design(spec)
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
-        assert first == again == run_design(spec)
-
-
-class TestCsvRow:
-    def test_column_count_matches_header(self):
-        spec = ExperimentSpec(design=2, n=8, N=200, trials=10, seed=1)
-        row = mad_csv_row(spec, run_design(spec), bound=9.2103)
-        assert len(row.split(",")) == len(CSV_HEADER.split(","))
-
-    def test_bit_identical_between_runs(self):
-        spec = ExperimentSpec(design=3, n=8, N=200, trials=10, seed=2)
-        a = mad_csv_row(spec, run_design(spec))
-        b = mad_csv_row(spec, run_design(spec))
-        assert a == b
+        assert run_design(spec) == run_design(spec)
 
 
 class TestEpsilonSweep:
@@ -135,40 +115,21 @@ class TestEpsilonSweep:
             epsilon_sweep(spec, [0.0])
 
 
-class TestWorkerPool:
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        spec = ExperimentSpec(design=2, n=4, N=300, trials=16, seed=8)
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "1")
-        serial = run_design(spec)
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "2")
-        parallel = run_design(spec)
-        assert serial == parallel
-
-    @pytest.mark.parametrize("value, cpus, expected", [
-        (None, 4, 1), ("1", 4, 1), ("3", 4, 3), ("4", 4, 4), ("5000", 4, 4), ("2", 1, 1),
-    ])
-    def test_worker_count_clamped_to_usable_cpus(self, monkeypatch, value, cpus, expected):
-        if value is None:
-            monkeypatch.delenv("AUCTIONAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("AUCTIONAB_WORKERS", value)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert _worker_count() == expected
-
-    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("AUCTIONAB_WORKERS", "64")
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _worker_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count() == 1
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
-    def test_non_integer_worker_count_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("AUCTIONAB_WORKERS", value)
-        with pytest.raises(ValueError) as exc:
-            _worker_count()
-        assert str(exc.value) == f"AUCTIONAB_WORKERS must be an integer, got {value!r}"
+class TestSeedingRule:
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_row_t_is_trial_t_stream(self, fmt):
+        """Row t is the estimate from curve.draw(N, SeedSequence((seed, t))),
+        bit for bit, and T trials are the first T rows of T + 5 trials."""
+        a, b = design_rules(1, 8)
+        c = mixture(a, b, 0.1)
+        curve = bid_curve(fmt, Beta22(), c, QuantileGrid(500))
+        ys, N, seed, T = (a, b), 300, 11, 6
+        est = trial_estimates(curve, c, ys, N, seed, T)
+        ws = [SourceGrid(fmt, c, N).weights(y) for y in ys]
+        expected = np.array([[w @ curve.draw(N, np.random.SeedSequence((seed, t))) for w in ws]
+                             for t in range(T)])
+        assert est.tobytes() == expected.tobytes()
+        assert est.tobytes() == trial_estimates(curve, c, ys, N, seed, T + 5)[:T].tobytes()
 
 
 def test_values_evaluated_once_across_cells(monkeypatch):
