@@ -452,10 +452,12 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert lines[-1] == "[]"
 
 
-def test_trials_load_no_process_pool():
+@pytest.mark.parametrize("workers", [None, "2"])
+def test_trials_load_no_process_pool(workers):
     """Importing the package and running bounds, and the Monte Carlo trials
     of simulate and compare, load neither multiprocessing nor
-    concurrent.futures."""
+    concurrent.futures, also when a stale AUCTIONAB_WORKERS (which the
+    package no longer reads) asks for two workers."""
     commands = [
         "bounds --design 1 --n 32 --N 1000 --seed 0",
         "simulate --design 1 --n 4 --N 100 --trials 16 --grid-m 200 --seed 0",
@@ -469,6 +471,8 @@ def test_trials_load_no_process_pool():
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('multiprocessing', 'concurrent')))\n")
     env = {k: v for k, v in os.environ.items() if k != "AUCTIONAB_WORKERS"}
+    if workers is not None:
+        env["AUCTIONAB_WORKERS"] = workers
     env["PYTHONPATH"] = str(Path(auctionab.__file__).parents[1])
     lines = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True,
                            text=True, check=True, env=env).stdout.splitlines()

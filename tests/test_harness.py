@@ -116,14 +116,24 @@ class TestEpsilonSweep:
 
 
 class TestSeedingRule:
-    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
-    def test_row_t_is_trial_t_stream(self, fmt):
+    @pytest.mark.parametrize("fmt, design, n, eps, N, path", [
+        (ALL_PAY, 1, 8, 0.1, 300, "index sort"),
+        (ALL_PAY, 1, 8, 0.1, 2500, "counting"),
+        (FIRST_PRICE, 1, 8, 0.1, 300, "index sort"),
+        (FIRST_PRICE, 1, 8, 0.1, 2500, "counting"),
+        (FIRST_PRICE, 3, 64, 0.001, 300, "unordered sort"),
+    ])
+    def test_row_t_is_trial_t_stream(self, fmt, design, n, eps, N, path):
         """Row t is the estimate from curve.draw(N, SeedSequence((seed, t))),
-        bit for bit, and T trials are the first T rows of T + 5 trials."""
-        a, b = design_rules(1, 8)
-        c = mixture(a, b, 0.1)
+        bit for bit, and T trials are the first T rows of T + 5 trials, on
+        each of draw's three paths."""
+        a, b = design_rules(design, n)
+        c = mixture(a, b, eps)
         curve = bid_curve(fmt, Beta22(), c, QuantileGrid(500))
-        ys, N, seed, T = (a, b), 300, 11, 6
+        reached = ("unordered sort" if not curve.ordered
+                   else "counting" if N >= 4 * len(curve.b) else "index sort")
+        assert reached == path
+        ys, seed, T = (a, b), 11, 6
         est = trial_estimates(curve, c, ys, N, seed, T)
         ws = [SourceGrid(fmt, c, N).weights(y) for y in ys]
         expected = np.array([[w @ curve.draw(N, np.random.SeedSequence((seed, t))) for w in ws]
