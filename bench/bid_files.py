@@ -16,8 +16,9 @@ A case reports, as medians over the repeats, every call of the case taking
 its turn in each repeat:
 
 - write_ms: write_bid_csv of the sample;
-- read_ms: read_bid_csv of the file as write_bid_csv left it, which loads
-  the .npy copy where the sidecar vouches for it;
+- read_ms: read_bid_csv of the file as write_bid_csv left it, which checks
+  the sidecar against the format and rule, then loads the .npy copy where
+  the sidecar vouches for it;
 - parse_ms: read_bid_csv with the .npy copy removed, so it parses the text;
 - estimate_ms: an in-process `estimate --source uniform-stair --target
   k-unit:1` on the file as written, printing to a buffer.

@@ -57,17 +57,17 @@ def _as_array(q):
     return q
 
 
-def _binom_pmf(m: int, j: int, q: np.ndarray, scale: int = 1) -> np.ndarray:
-    """scale * P(Bin(m, 1-q) = j), the chance that exactly j of m rivals
+def _binom_pmf(m: int, j: int, q: np.ndarray) -> np.ndarray:
+    """P(Bin(m, 1-q) = j), the chance that exactly j of m rivals
     have quantile above q (zero for j outside 0..m), in log space so the
     huge coefficient and the vanishing powers cancel before exponentiation.
-    log(scale * C(m, j)) is rounded once: math.log takes the exact integer
-    beyond the float range.  A power with exponent 0 is never formed, so
+    log C(m, j) is rounded once: math.log takes the exact integer beyond
+    the float range.  A power with exponent 0 is never formed, so
     0**0 counts as 1 at the endpoints; log(0) = -inf gives exact zeros.
     """
     if not (0 <= j <= m):
         return np.zeros_like(q)
-    e = math.log(scale * math.comb(m, j))
+    e = math.log(math.comb(m, j))
     with np.errstate(divide="ignore", under="ignore"):
         if m - j:
             e = e + (m - j) * np.log(q)

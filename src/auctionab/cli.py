@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .abtest import revenue_verdict
@@ -28,7 +29,7 @@ from .bounds import (
     normalized_table_bound,
 )
 from .dist import QuantileGrid, make_distribution, true_revenue
-from .equil import ALL_PAY, FIRST_PRICE, bid_curve, check_sidecar, read_bid_csv
+from .equil import ALL_PAY, FIRST_PRICE, bid_curve, read_bid_csv
 from .estim import DegenerateSourceError, estimate
 from .harness import (
     ExperimentSpec,
@@ -116,10 +117,14 @@ def cmd_sweep(args) -> list[str]:
 def cmd_estimate(args) -> list[str]:
     source = parse_rule(args.source, args.n)
     target = parse_rule(args.target, args.n)
-    warning = check_sidecar(args.bids, args.format, source)
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
-    sample = read_bid_csv(args.bids, args.format, source)
+    # the reader's warnings (a sidecar naming other weights) print before any error it raises
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            sample = read_bid_csv(args.bids, args.format, source)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     (point,) = estimate(sample, source, [target])
     bound = bound_general_y(BoundInputs.from_rules(source, target, sample.size))
     if not (math.isfinite(point) and math.isfinite(bound)):

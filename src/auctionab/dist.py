@@ -47,24 +47,18 @@ class ValueDistribution:
         raise NotImplementedError
 
 
-class _Unparametrized(ValueDistribution):
-    """A distribution without parameters: all instances of a class are equal."""
-
-    def __eq__(self, other):
-        return type(self) is type(other)
-
-    def __hash__(self):
-        return hash(type(self))
-
-
-class Uniform01(_Unparametrized):
+# frozen dataclasses without fields: all instances of a class are equal and
+# hash alike, so grid_values evaluates each distribution once
+@dataclass(frozen=True)
+class Uniform01(ValueDistribution):
     name = "uniform"
 
     def v(self, q):
         return np.asarray(q, dtype=float)
 
 
-class Beta22(_Unparametrized):
+@dataclass(frozen=True)
+class Beta22(ValueDistribution):
     """Beta(2, 2) values: density f(v) = 6v(1-v), CDF F(v) = 3v^2 - 2v^3.
 
     The quantile function is the trigonometric root of the cubic,

@@ -108,6 +108,8 @@ class BidSample:
     bids: np.ndarray
 
     def __post_init__(self):
+        if self.format not in (ALL_PAY, FIRST_PRICE):
+            raise ValueError(f"unknown payment format {self.format!r}")
         bids = np.asarray(self.bids, dtype=float)
         if bids.ndim != 1 or len(bids) == 0:
             raise ValueError("need a nonempty 1-d bid vector")
@@ -229,37 +231,10 @@ def write_bid_csv(sample: BidSample, csv_path) -> None:
     }, indent=2))
 
 
-def _read_sidecar(csv_path) -> dict:
-    """The JSON sidecar beside a bid file, or {} when it is missing or holds
-    no JSON object."""
-    try:
-        meta = json.loads(Path(csv_path).with_suffix(".json").read_bytes())
-    except (OSError, ValueError):
-        return {}
-    return meta if isinstance(meta, dict) else {}
-
-
-def check_sidecar(csv_path, fmt: str, rule: AllocationRule) -> str | None:
-    """Compare the sidecar of a bid file with the format and source rule its
-    bids are to be read under.  Raises ValueError when it records another
-    format or agent count; returns a warning when it records other position
-    weights, None when it agrees or lacks the field."""
-    meta = _read_sidecar(csv_path)
-    for key, given in (("format", fmt), ("n", rule.n)):
-        if key in meta and meta[key] != given:
-            raise ValueError(f"bid file {csv_path} records {key} {meta[key]!r} in its sidecar, "
-                             f"but {key} {given!r} was given")
-    if "weights" in meta and meta["weights"] != _weights_text(rule):
-        return (f"bid file {csv_path} records source {meta.get('rule')!r} in its sidecar, "
-                f"but {rule.describe()!r} was given")
-    return None
-
-
-def _saved_bids(csv_path: Path, data: bytes) -> np.ndarray | None:
+def _saved_bids(csv_path: Path, data: bytes, meta: dict) -> np.ndarray | None:
     """The bids of the .npy copy beside csv_path, or None unless the sidecar
-    records data's length and CRC-32 and the copy holds N float64 bids whose
-    CRC-32 it records too."""
-    meta = _read_sidecar(csv_path)
+    meta records data's length and CRC-32 and the copy holds N float64 bids
+    whose CRC-32 it records too."""
     try:
         shape, crc = (meta["N"],), meta["npy_crc32"]
         with open(csv_path.with_suffix(".npy"), "rb") as f:
@@ -276,16 +251,34 @@ def _saved_bids(csv_path: Path, data: bytes) -> np.ndarray | None:
 
 def read_bid_csv(csv_path, fmt: str, rule: AllocationRule) -> BidSample:
     """The sample in a file written by write_bid_csv: a 'bid' header line,
-    then one bid a line.  The header is checked on the file's bytes; the
-    bids come from its .npy copy when the sidecar's lengths and CRC-32s
-    match the file and the copy, and from parsing the text otherwise, so an
-    edited CSV always wins over a stale copy.  Both give the same bits, and
-    the sample makes the same checks on either."""
-    data = Path(csv_path).read_bytes()
+    then one bid a line, read as bids of format fmt from the source rule.
+
+    The JSON sidecar beside the file is checked first: one that records
+    another format or agent count raises ValueError, and one that records
+    other position weights issues a UserWarning.  A missing sidecar, or one
+    without the field, checks nothing.  The header is checked on the file's
+    bytes; the bids come from its .npy copy when the sidecar's lengths and
+    CRC-32s match the file and the copy, and from parsing the text
+    otherwise, so an edited CSV always wins over a stale copy.  Both give
+    the same bits, and the sample makes the same checks on either."""
+    path = Path(csv_path)
+    try:
+        meta = json.loads(path.with_suffix(".json").read_bytes())
+    except (OSError, ValueError):
+        meta = None
+    meta = meta if isinstance(meta, dict) else {}
+    for key, given in (("format", fmt), ("n", rule.n)):
+        if key in meta and meta[key] != given:
+            raise ValueError(f"bid file {csv_path} records {key} {meta[key]!r} in its sidecar, "
+                             f"but {key} {given!r} was given")
+    if "weights" in meta and meta["weights"] != _weights_text(rule):
+        warnings.warn(f"bid file {csv_path} records source {meta.get('rule')!r} in its sidecar, "
+                      f"but {rule.describe()!r} was given", stacklevel=2)
+    data = path.read_bytes()
     # the first line ends at \n, \r or \r\n, as a text-mode readline sees it
     if re.match(rb"[^\r\n]*", data).group().strip() != b"bid":
         raise ValueError(f"bid file {csv_path} must start with the header line 'bid'")
-    bids = _saved_bids(Path(csv_path), data)
+    bids = _saved_bids(path, data, meta)
     if bids is None:
         with warnings.catch_warnings():
             # numpy warns before returning no rows; the error below says it instead

@@ -49,7 +49,7 @@ def multi_unit_alloc_deriv(k: int, n: int, q):
     """
     if not (1 <= k <= n):
         raise ValueError(f"unit count k={k} outside 1..{n}")
-    return _binom_pmf(n - 2, k - 1, _as_array(q), n - 1)
+    return (n - 1) * _binom_pmf(n - 2, k - 1, _as_array(q))
 
 
 #: (x_k, x_k') as the per-term reference above, the one every rule
@@ -149,10 +149,6 @@ class TestMultiUnitDerivatives:
             for m in (0, 1, 6, 30, 254, 1022):
                 for j in sorted({0, 1, m // 2, m - 1, m} - {-1}):
                     assert _binom_pmf(m, j, q).tolist() == [j == m, j == 0]
-                    # a scaled coefficient is exp(log(scale)), within an ulp
-                    got = _binom_pmf(m, j, q, m + 1) / (m + 1)
-                    assert got[0] == pytest.approx(float(j == m), abs=0, rel=1e-15)
-                    assert got[1] == pytest.approx(float(j == 0), abs=0, rel=1e-15)
 
 
 IBETA_PARAMS = (1, 2, 3, 5, 16, 100, 511, 1023, 2048)

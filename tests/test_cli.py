@@ -169,6 +169,18 @@ class TestEstimate:
         assert warned.err.startswith(f"warning: bid file {bids_csv} records source 'position(")
         assert warned.err.endswith(" but '2-unit(n=8)' was given\n")
 
+    def test_sidecar_rule_warning_prints_before_a_read_error(self, capsys, bids_csv):
+        bids_csv.write_text("0.5\n")  # the sidecar still vouches for the old bids
+        code = cli_main(["estimate", "--bids", str(bids_csv), "--source", "k-unit:2",
+                         "--target", "uniform-stair", "--n", "8", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        warning, error = captured.err.splitlines()
+        assert warning.startswith(f"warning: bid file {bids_csv} records source 'position(")
+        assert warning.endswith(" but '2-unit(n=8)' was given")
+        assert error == f"error: bid file {bids_csv} must start with the header line 'bid'"
+
     def test_non_finite_bound_exits_one(self, capsys, tmp_path):
         """All-pay bids of the one-unit rule at n = 256: the source's slope is
         tiny but positive on the bound's grid, the bound overflows to inf, and

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from auctionab.equil import (
     BidCurve,
     BidSample,
     bid_curve,
-    check_sidecar,
     invert,
     read_bid_csv,
     sample_bids,
@@ -244,6 +244,14 @@ class TestBidSample:
         s = BidSample(ALL_PAY, MultiUnit(1, 4), np.array([0.1, 0.2]))
         assert s.n == 4
 
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown payment format 'xyz'"):
+            BidSample("xyz", uniform_stair(2), np.array([0.1, 0.2]))
+        path = tmp_path / "bids.csv"
+        path.write_text("bid\n0.1\n0.2\n")  # no sidecar to name the format
+        with pytest.raises(ValueError, match="unknown payment format 'xyz'"):
+            read_bid_csv(path, "xyz", uniform_stair(2))
+
     def test_caller_array_stays_writable(self):
         a = np.array([0.1, 0.2])
         s = BidSample(ALL_PAY, uniform_stair(2), a)
@@ -440,14 +448,22 @@ class TestBinaryCopy:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestCheckSidecar:
+class TestSidecarCheck:
+    """read_bid_csv checks the sidecar against the format and source rule
+    the bids are read under, before it reads the bids."""
+
     def _written(self, tmp_path):
         path = tmp_path / "bids.csv"
         write_bid_csv(BidSample(ALL_PAY, uniform_stair(4), np.array([0.5])), path)
         return path
 
+    def _read_quietly(self, path, fmt, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read_bid_csv(path, fmt, rule)
+
     def test_agreeing_sidecar(self, tmp_path):
-        assert check_sidecar(self._written(tmp_path), ALL_PAY, uniform_stair(4)) is None
+        assert self._read_quietly(self._written(tmp_path), ALL_PAY, uniform_stair(4)).bids.tolist() == [0.5]
 
     @pytest.mark.parametrize("fmt, rule, message", [
         (FIRST_PRICE, uniform_stair(4), "records format 'allpay' in its sidecar, but format 'firstprice'"),
@@ -455,19 +471,51 @@ class TestCheckSidecar:
     ])
     def test_format_or_n_mismatch_raises(self, tmp_path, fmt, rule, message):
         with pytest.raises(ValueError, match=message):
-            check_sidecar(self._written(tmp_path), fmt, rule)
+            read_bid_csv(self._written(tmp_path), fmt, rule)
 
-    def test_rule_mismatch_warns(self, tmp_path):
+    def test_rule_mismatch_warns_and_reads(self, tmp_path):
         path = self._written(tmp_path)
-        warning = check_sidecar(path, ALL_PAY, MultiUnit(2, 4))
-        assert "'position(1,0.666667,0.333333,0)'" in warning and "'2-unit(n=4)'" in warning
+        with pytest.warns(UserWarning) as caught:
+            sample = read_bid_csv(path, ALL_PAY, MultiUnit(2, 4))
+        assert [str(w.message) for w in caught] == [
+            f"bid file {path} records source 'position(1,0.666667,0.333333,0)' in its sidecar, "
+            "but '2-unit(n=4)' was given"]
+        assert sample.bids.tolist() == [0.5] and sample.rule == MultiUnit(2, 4)
 
     def test_missing_or_old_sidecar_checks_what_it_holds(self, tmp_path):
         path = self._written(tmp_path)
         side = tmp_path / "bids.json"
         side.write_text(json.dumps({"format": "allpay", "n": 4, "rule": "x"}))
-        assert check_sidecar(path, ALL_PAY, MultiUnit(2, 4)) is None
+        assert self._read_quietly(path, ALL_PAY, MultiUnit(2, 4)).bids.tolist() == [0.5]
         with pytest.raises(ValueError, match="records n 4"):
-            check_sidecar(path, ALL_PAY, MultiUnit(2, 5))
+            read_bid_csv(path, ALL_PAY, MultiUnit(2, 5))
         side.unlink()
-        assert check_sidecar(path, FIRST_PRICE, MultiUnit(2, 5)) is None
+        assert self._read_quietly(path, FIRST_PRICE, MultiUnit(2, 5)).bids.tolist() == [0.5]
+
+    @pytest.mark.parametrize("rule", [uniform_stair(4), MultiUnit(2, 4)])
+    def test_one_read_parses_the_sidecar_once(self, tmp_path, monkeypatch, rule):
+        path, parsed, real = self._written(tmp_path), [], json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: parsed.append(a) or real(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            read_bid_csv(path, ALL_PAY, rule)
+            assert len(parsed) == 1
+            (tmp_path / "bids.npy").unlink()  # the parse of the text reads it once too
+            read_bid_csv(path, ALL_PAY, rule)
+        assert len(parsed) == 2
+
+    def test_format_mismatch_wins_over_a_bad_header(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_text("0.5\n")
+        with pytest.raises(ValueError, match="records format 'allpay'"):
+            read_bid_csv(path, FIRST_PRICE, uniform_stair(4))
+        with pytest.raises(ValueError, match="must start with the header line 'bid'"):
+            read_bid_csv(path, ALL_PAY, uniform_stair(4))
+
+    def test_messages_keep_the_path_as_given(self, tmp_path, monkeypatch):
+        self._written(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=r"^bid file \./bids\.csv records n 4"):
+            read_bid_csv("./bids.csv", ALL_PAY, uniform_stair(5))
+        with pytest.warns(UserWarning, match=r"^bid file \./bids\.csv records source"):
+            read_bid_csv("./bids.csv", ALL_PAY, MultiUnit(2, 4))
