@@ -7,8 +7,10 @@ BENCH_estim.json.
 
 The weight form evaluates the target on all N+1 cell edges and dots
 K_{i-1} - K_i with the N sorted bids (SourceGrid.weights, as the Monte Carlo
-trials do); the increment form evaluates it only on the edges where the
-sorted bids change and dots K with those increments (estimate).
+trials do below N = 4 (m + 1); from there on they gather K at grid counts,
+which bench/trials.py times); the increment form evaluates it only on the
+edges where the sorted bids change and dots K with those increments
+(estimate).
 Every case is one payment format, one n in {8, 32, 1024}, one N in
 {1e4, 1e5} and one sample:
 

@@ -61,6 +61,23 @@ class BidCurve:
         ordered = np.all(b[1:] >= b[:-1]) and not np.signbit(b).any()
         object.__setattr__(self, "ordered", bool(ordered))
 
+    def counting(self, N: int) -> bool:
+        """Whether draw(N, seed) repeats the grid bids counts(N, seed) times
+        rather than sorting: on an ordered curve, from four times the grid
+        size on.  Below that the sort is cheaper than repeating each of the
+        m + 1 grid bids."""
+        return self.ordered and N >= 4 * len(self.b)
+
+    def counts(self, N: int, seed) -> np.ndarray:
+        """How often each grid index is drawn among N uniform draws with
+        replacement: the bincount, of length m + 1 and sum N, of the default
+        int64 index draw of numpy's default_rng(seed), which is the draw
+        that every path of `draw` sorts or counts."""
+        check("N", N)
+        rng = np.random.default_rng(seed)
+        # bincount wants intp indices
+        return np.bincount(rng.integers(0, len(self.b), size=N), minlength=len(self.b))
+
     def draw(self, N: int, seed) -> np.ndarray:
         """N bids drawn with replacement from the grid bids (uniform quantile
         indices mapped through the curve), sorted ascending.
@@ -77,23 +94,22 @@ class BidCurve:
           draws both widths with the same 32-bit Lemire step, so idx is
           unchanged; and on an ordered curve the bid order is the index
           order, with equal bids carrying equal bits.
-        - counting (ordered curve, N at least four times the grid size):
-          each grid bid is repeated as often as it was drawn, in O(N + m)
-          with no sort, for the same reason.  Below that size the sort is
-          cheaper than repeating each of the m + 1 grid bids.
+        - counting (`counting(N)`: ordered curve, N at least four times the
+          grid size): each grid bid is repeated as often as `counts` says
+          it was drawn, in O(N + m) with no sort, for the same reason.  The
+          Monte Carlo trials skip even that and estimate from the counts.
         - gather and sort (any other curve): the bids themselves are
           sorted, which is the definition.
         """
         check("N", N)
         b = self.b
+        if self.counting(N):
+            return np.repeat(b, self.counts(N, seed))
         rng = np.random.default_rng(seed)
         if not self.ordered:
             bids = b[rng.integers(0, len(b), size=N)]
             bids.sort()
             return bids
-        if N >= 4 * len(b):
-            # bincount wants intp indices
-            return np.repeat(b, np.bincount(rng.integers(0, len(b), size=N), minlength=len(b)))
         idx = rng.integers(0, len(b), size=N, dtype=np.int32)
         idx.sort()
         return b.take(idx)

@@ -12,8 +12,10 @@ exactly over each bid's cell), and y/x' for the all-pay welfare of
 position rule y (measure="welfare", SourceGrid.welfare_kernel), which for
 the rule that serves every agent, y = 1, is the expected value.  Gathered
 per bid, the sum is the weight form sum_i (K_{i-1} - K_i) b_i that the
-Monte Carlo trials use; where 1/x' spans many decades that form cancels to
-rounding noise on tied bids.
+Monte Carlo trials use below BidCurve.draw's counting boundary; where 1/x'
+spans many decades that form cancels to rounding noise on tied bids.  From
+that boundary on the trials sum K over the grid bids' increments instead
+(harness.trial_estimates).
 
 DegenerateSourceError is raised only at an edge the estimate uses, where x'
 vanishes and the kernel's numerator does not, so a source that is flat only
@@ -70,7 +72,9 @@ class SourceGrid:
         self.q = (np.arange(N + 1) if edges is None else edges) / N
         self.qe = np.clip(self.q, 0.5 / N, 1.0 - 0.5 / N)
         self.xp = x.xprime(self.qe)
-        self.flat = np.abs(self.xp) <= TINY_SLOPE
+        #: the edges where x' vanishes: every kernel divides everywhere, then
+        #: checks and zeroes these alone
+        self.flat = np.flatnonzero(np.abs(self.xp) <= TINY_SLOPE)
         self.xq = x.x(self.q) if fmt == FIRST_PRICE else None
 
     def _check_agents(self, y: AllocationRule) -> None:
@@ -79,11 +83,14 @@ class SourceGrid:
 
     def _over_slope(self, num: np.ndarray) -> np.ndarray:
         """num/x' at the edges, 0 where both vanish."""
-        bad = self.flat & (np.abs(num) > TINY_SLOPE)
+        bad = np.abs(num[self.flat]) > TINY_SLOPE
         if np.any(bad):
-            raise DegenerateSourceError(float(self.qe[np.argmax(bad)]))
+            raise DegenerateSourceError(float(self.qe[self.flat[np.argmax(bad)]]))
+        # |num| <= TINY_SLOPE where x' vanishes, so no quotient there overflows
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.flat, 0.0, num / np.where(self.flat, 1.0, self.xp))
+            out = num / self.xp
+        out[self.flat] = 0.0
+        return out
 
     def kernel(self, y: AllocationRule) -> np.ndarray:
         """y's revenue kernel at the edges.  All-pay: Z = (1-q) y'/x'.

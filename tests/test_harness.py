@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from auctionab.alloc import MultiUnit, mixture, uniform_stair
-from auctionab.equil import ALL_PAY, FIRST_PRICE, bid_curve
+from auctionab.equil import ALL_PAY, FIRST_PRICE, BidCurve, bid_curve, sample_bids
 from auctionab.dist import Beta22, QuantileGrid, grid_values, true_revenue
-from auctionab.estim import SourceGrid
+from auctionab.estim import SourceGrid, estimate
 from auctionab.harness import (
     ExperimentSpec,
     MadResult,
@@ -124,22 +126,96 @@ class TestSeedingRule:
         (FIRST_PRICE, 3, 64, 0.001, 300, "unordered sort"),
     ])
     def test_row_t_is_trial_t_stream(self, fmt, design, n, eps, N, path):
-        """Row t is the estimate from curve.draw(N, SeedSequence((seed, t))),
-        bit for bit, and T trials are the first T rows of T + 5 trials, on
-        each of draw's three paths."""
+        """Row t is the estimate from stream SeedSequence((seed, t)), bit for
+        bit, and T trials are the first T rows of T + 5 trials, on each of
+        draw's three paths.  On the sort paths the row is the weights dotted
+        with curve.draw(N, stream); on the counting path it is the kernel at
+        the cumulative curve.counts(N, stream) dotted with the grid bids'
+        increments, within 1e-12 of that weight form."""
         a, b = design_rules(design, n)
         c = mixture(a, b, eps)
         curve = bid_curve(fmt, Beta22(), c, QuantileGrid(500))
         reached = ("unordered sort" if not curve.ordered
                    else "counting" if N >= 4 * len(curve.b) else "index sort")
         assert reached == path
+        assert curve.counting(N) == (path == "counting")
         ys, seed, T = (a, b), 11, 6
         est = trial_estimates(curve, c, ys, N, seed, T)
-        ws = [SourceGrid(fmt, c, N).weights(y) for y in ys]
-        expected = np.array([[w @ curve.draw(N, np.random.SeedSequence((seed, t))) for w in ws]
-                             for t in range(T)])
+        grid = SourceGrid(fmt, c, N)
+        streams = [np.random.SeedSequence((seed, t)) for t in range(T)]
+        weight_form = np.array([[grid.weights(y) @ curve.draw(N, s) for y in ys] for s in streams])
+        if path == "counting":
+            Ks, db = [grid.kernel(y) for y in ys], np.diff(curve.b, append=0.0)
+            expected = np.array([[K[0] * curve.b[0] + K.take(curve.counts(N, s).cumsum()) @ db
+                                  for K in Ks] for s in streams])
+            np.testing.assert_allclose(est, weight_form, rtol=1e-12, atol=0)
+        else:
+            expected = weight_form
         assert est.tobytes() == expected.tobytes()
         assert est.tobytes() == trial_estimates(curve, c, ys, N, seed, T + 5)[:T].tobytes()
+
+    @pytest.mark.parametrize("fmt, design, n, eps", [
+        (ALL_PAY, 1, 8, 0.1), (FIRST_PRICE, 1, 8, 0.1), (FIRST_PRICE, 3, 64, 0.001)])
+    @pytest.mark.parametrize("N", [300, 2500])
+    def test_counts_are_the_draw(self, fmt, design, n, eps, N):
+        """counts(N, seed) sums to N, and repeating each grid bid that often
+        gives draw(N, seed) on an ordered curve, and its sorted bids on any
+        curve, below and above the counting boundary alike."""
+        a, b = design_rules(design, n)
+        curve = bid_curve(fmt, Beta22(), mixture(a, b, eps), QuantileGrid(500))
+        seed = np.random.SeedSequence((11, 2))
+        counts = curve.counts(N, seed)
+        assert len(counts) == len(curve.b) and counts.sum() == N
+        bids = np.repeat(curve.b, counts)
+        if curve.ordered:
+            assert bids.tobytes() == curve.draw(N, seed).tobytes()
+        assert np.sort(bids).tobytes() == curve.draw(N, seed).tobytes()
+
+
+class TestCountForm:
+    """Trials on the counting path estimate from grid counts, never from the
+    N sorted bids; a small grid with N = 4 (m + 1) reaches it."""
+
+    @staticmethod
+    def _cell(fmt, design, n, m, eps=0.001):
+        a, b = design_rules(design, n)
+        c = mixture(a, b, eps)
+        curve = bid_curve(fmt, Beta22(), c, QuantileGrid(m))
+        N = 4 * (m + 1)
+        assert curve.counting(N)
+        return curve, c, (a, b), N
+
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    @pytest.mark.parametrize("design, n, shift", [(2, 32, 0.0), (3, 256, 0.0), (2, 32, 0.25)])
+    def test_rows_match_estimate(self, fmt, design, n, shift):
+        """Each row is what estimate gives on the trial's sample, the
+        increment form over the edges where its sorted bids change; also on
+        a curve shifted up, whose lowest grid bid b_0 is not 0."""
+        curve, c, ys, N = self._cell(fmt, design, n, 200)
+        curve = BidCurve(fmt, c, curve.grid, curve.b + shift)
+        seed, T = 5, 3
+        est = trial_estimates(curve, c, ys, N, seed, T)
+        for t in range(T):
+            sample = sample_bids(curve, N, np.random.SeedSequence((seed, t)))
+            np.testing.assert_allclose(est[t], estimate(sample, c, ys), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_exact_where_the_weight_form_cancels(self, fmt):
+        """Design 3 at n = 256: 1/x' spans many decades, so the weight form
+        sum_i (K_{i-1} - K_i) bid_i cancels to more than 1e-13 relative off
+        its exact value over the same float K and bids, while the row stays
+        within a few ulps of it."""
+        curve, c, ys, N = self._cell(fmt, 3, 256, 200)
+        y, seed, T = ys[1], 3, 3
+        rows = trial_estimates(curve, c, (y,), N, seed, T)[:, 0]
+        grid = SourceGrid(fmt, c, N)
+        K, w = grid.kernel(y), grid.weights(y)
+        Kf = [Fraction(k) for k in K]
+        for t, row in enumerate(rows):
+            bids = curve.draw(N, np.random.SeedSequence((seed, t)))
+            exact = float(sum((Kf[i] - Kf[i + 1]) * Fraction(v) for i, v in enumerate(bids)))
+            assert abs(w @ bids - exact) > 1e-13 * abs(exact)
+            assert abs(row - exact) <= 4 * np.spacing(abs(exact))
 
 
 def test_values_evaluated_once_across_cells(monkeypatch):
