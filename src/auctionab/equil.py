@@ -16,7 +16,7 @@ import json
 import re
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,40 +39,44 @@ CSV_CHUNK = 2**14
 
 @dataclass(frozen=True)
 class BidCurve:
-    """Equilibrium bid at each grid quantile for one payment format."""
+    """Equilibrium bid at each grid quantile for one payment format: a
+    finite, nonnegative and nondecreasing vector, as the equilibrium bid
+    function is in both formats (b' = v x' >= 0 all-pay, and
+    b' = (v - b) x'/x >= 0 first-price).  Any other vector raises
+    ValueError."""
 
     format: str
     rule: AllocationRule
     grid: QuantileGrid
     b: np.ndarray
-    #: the bids never decrease along the grid and none has its sign bit set
-    #: (no NaN, no -0.0 beside 0.0), so sorting or counting the drawn grid
-    #: indices reproduces sorting the drawn bids
-    ordered: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.format not in (ALL_PAY, FIRST_PRICE):
             raise ValueError(f"unknown payment format {self.format!r}")
         b = np.asarray(self.b, dtype=float)
-        if len(b) != self.grid.m + 1:
+        if b.ndim != 1 or len(b) != self.grid.m + 1:
             raise ValueError("bid vector does not match grid")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("bid curve must be finite (found nan or inf)")
+        if b[0] < 0:
+            raise ValueError("bid curve must be nonnegative")
+        if np.any(b[1:] < b[:-1]):
+            raise ValueError("bid curve must be nondecreasing")
         object.__setattr__(self, "b", b)
         self.b.setflags(write=False)
-        ordered = np.all(b[1:] >= b[:-1]) and not np.signbit(b).any()
-        object.__setattr__(self, "ordered", bool(ordered))
 
     def counting(self, N: int) -> bool:
         """Whether draw(N, seed) repeats the grid bids counts(N, seed) times
-        rather than sorting: on an ordered curve, from four times the grid
-        size on.  Below that the sort is cheaper than repeating each of the
+        rather than sorting the drawn indices: from four times the grid size
+        on.  Below that the sort is cheaper than repeating each of the
         m + 1 grid bids."""
-        return self.ordered and N >= 4 * len(self.b)
+        return N >= 4 * len(self.b)
 
     def counts(self, N: int, seed) -> np.ndarray:
         """How often each grid index is drawn among N uniform draws with
         replacement: the bincount, of length m + 1 and sum N, of the default
         int64 index draw of numpy's default_rng(seed), which is the draw
-        that every path of `draw` sorts or counts."""
+        that both paths of `draw` sort or count."""
         check("N", N)
         rng = np.random.default_rng(seed)
         # bincount wants intp indices
@@ -80,37 +84,26 @@ class BidCurve:
 
     def draw(self, N: int, seed) -> np.ndarray:
         """N bids drawn with replacement from the grid bids (uniform quantile
-        indices mapped through the curve), sorted ascending.
+        indices mapped through the curve), sorted ascending: the grid bids
+        at the sorted drawn indices, `b.take(np.sort(idx))`, where idx is
+        the default int64 draw.
 
         Deterministic given the seed.  The generator is numpy's default_rng
         (PCG64); `seed` may be an int or a numpy SeedSequence, which is how
         the Monte Carlo harness derives independent per-trial streams.
 
-        Every path returns the array that sorting the gathered bids
-        `b[idx]` gives, bit for bit, where idx is the default int64 draw:
-
-        - index sort (ordered curve, N below four times the grid size):
-          the indices are drawn as int32, sorted, then gathered.  numpy
-          draws both widths with the same 32-bit Lemire step, so idx is
-          unchanged; and on an ordered curve the bid order is the index
-          order, with equal bids carrying equal bits.
-        - counting (`counting(N)`: ordered curve, N at least four times the
-          grid size): each grid bid is repeated as often as `counts` says
-          it was drawn, in O(N + m) with no sort, for the same reason.  The
-          Monte Carlo trials skip even that and estimate from the counts.
-        - gather and sort (any other curve): the bids themselves are
-          sorted, which is the definition.
+        - index sort (N below four times the grid size): the indices are
+          drawn as int32, sorted, then gathered.  numpy draws both widths
+          with the same 32-bit Lemire step, so idx is unchanged.
+        - counting (`counting(N)`): each grid bid is repeated as often as
+          `counts` says it was drawn, in O(N + m) with no sort.  The Monte
+          Carlo trials skip even that and estimate from the counts.
         """
         check("N", N)
         b = self.b
         if self.counting(N):
             return np.repeat(b, self.counts(N, seed))
-        rng = np.random.default_rng(seed)
-        if not self.ordered:
-            bids = b[rng.integers(0, len(b), size=N)]
-            bids.sort()
-            return bids
-        idx = rng.integers(0, len(b), size=N, dtype=np.int32)
+        idx = np.random.default_rng(seed).integers(0, len(b), size=N, dtype=np.int32)
         idx.sort()
         return b.take(idx)
 
@@ -167,6 +160,10 @@ def bid_curve(
             raise DegenerateRuleError("allocation rule vanishes away from q=0; no first-price bid curve")
         with np.errstate(divide="ignore", invalid="ignore"):
             b = np.where(dead, float(dist.v(0.0)), b / np.where(dead, 1.0, xq))
+        # on a flat stretch S/x can round down an ulp at a time; BidCurve
+        # takes only nondecreasing bids, so lift those to the running maximum
+        if np.any(b[1:] < b[:-1]):
+            np.maximum.accumulate(b, out=b)
     return BidCurve(fmt, rule, grid, b)
 
 

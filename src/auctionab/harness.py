@@ -87,14 +87,14 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     K on the N + 1 cell edges built once.  Trial t is seeded from (seed, t),
     so row t does not depend on the other trials.
 
-    Where curve.draw(N, .) counts (`curve.counting(N)`), a trial never
-    builds its N bids: they change only where the cumulative grid counts
+    From N = 4 (m + 1) on (`curve.counting(N)`), a trial never builds its
+    N bids: they change only where the cumulative grid counts
     C_j = counts_0 + ... + counts_j step from grid bid b_j to b_{j+1}, so
     the estimate sum_i K_i (bid_{i+1} - bid_i) is
     K_0 b_0 + sum_j K[C_j] (b_{j+1} - b_j), with b_{m+1} = 0, in O(m) after
-    the draw.  Elsewhere the trial dots the weights K_{i-1} - K_i with its
+    the draw.  Below that the trial dots the weights K_{i-1} - K_i with its
     sorted bids."""
-    out = np.empty((trials, len(ys)))
+    out = np.empty((check("trials", trials), len(ys)))
     if curve.counting(N):
         Ks = list(map(SourceGrid(curve.format, x, N).kernel, ys))
         b = curve.b

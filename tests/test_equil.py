@@ -20,6 +20,7 @@ from auctionab.dist import Beta22, QuantileGrid, Uniform01, true_revenue
 from auctionab.equil import (
     ALL_PAY,
     CSV_CHUNK,
+    EPS_ALLOC,
     FIRST_PRICE,
     BidCurve,
     BidSample,
@@ -93,6 +94,25 @@ class TestFirstPriceCurve:
         rule = AllocationRule([0.0, 0.0])
         with pytest.raises(DegenerateRuleError):
             bid_curve(FIRST_PRICE, Uniform01(), rule, GRID)
+
+    @pytest.mark.parametrize("dist", [Beta22(), Uniform01()])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_rounding_drops_lifted_to_the_running_maximum(self, dist, n):
+        """Design 3's source: on the flat top of the curve S/x steps down by
+        an ulp here and there, and bid_curve lifts each point to the running
+        maximum, so a point moves by at most one ulp per drop before it."""
+        rule = mixture(MultiUnit(n - 1, n), MultiUnit(1, n), 0.001)
+        g = QuantileGrid(2000)
+        c = bid_curve(FIRST_PRICE, dist, rule, g)
+        S, xq = bid_curve(ALL_PAY, dist, rule, g).b, rule.x(g.q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.where(xq < EPS_ALLOC, float(dist.v(0.0)), S / xq)
+        assert c.b.tobytes() == np.maximum.accumulate(raw).tobytes()
+        drop = raw[1:] < raw[:-1]
+        assert np.all((raw[:-1] - raw[1:])[drop] <= np.spacing(raw[1:][drop]))
+        drops_before = np.concatenate(([0], np.cumsum(drop)))
+        assert np.all(c.b - raw <= drops_before * np.spacing(raw))
+        assert drop.any() == isinstance(dist, Beta22)
 
 
 class TestInversion:
@@ -169,11 +189,17 @@ def _sorted_gather(curve, N, seed):
     return np.sort(curve.b[idx])
 
 
+def _at_sorted_indices(curve, N, seed):
+    """draw's contract: the grid bids at the sorted default int64 draw."""
+    idx = np.random.default_rng(seed).integers(0, len(curve.b), size=N)
+    return curve.b.take(np.sort(idx))
+
+
 class TestDraw:
-    """On an ordered curve `draw` sorts int32 grid indices below four times
-    the grid size and counts the grid bids from there; any other curve
-    gathers and sorts.  All give the array that sorting the gathered int64
-    draws gives, bit for bit."""
+    """`draw` sorts int32 grid indices below four times the grid size and
+    counts the grid bids from there.  Both give the grid bids at the sorted
+    int64 draws, bit for bit; on an equilibrium curve that is also the
+    array that sorting the gathered bids gives."""
 
     @pytest.mark.parametrize("M", [2, 101, 10_001, 65_537, 2**20])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
@@ -195,31 +221,50 @@ class TestDraw:
         c = bid_curve(fmt, Beta22(), MultiUnit(k - 1, k), QuantileGrid(m))
         N = max(1, int(scale * len(c.b)) + offset)
         out = c.draw(N, np.random.SeedSequence((seed, 3)))
+        assert out.tobytes() == _at_sorted_indices(c, N, np.random.SeedSequence((seed, 3))).tobytes()
         assert out.tobytes() == _sorted_gather(c, N, np.random.SeedSequence((seed, 3))).tobytes()
 
-    @pytest.mark.parametrize("b, ordered", [
-        ([0.0, 0.3, 0.2, 0.5, 0.5], False),      # not monotone
-        ([0.0, 0.1, np.nan, 0.4, 0.5], False),   # a NaN fails the order check
-        ([-0.0, 0.0, -0.0, 0.2, 0.3], False),    # equal values with different bits
-        ([0.0, 0.1, 0.1, 0.4, 0.9], True),       # ties
+    @pytest.mark.parametrize("b, message", [
+        ([0.0, 0.3, 0.2, 0.5, 0.5], "nondecreasing"),
+        ([0.0, 0.1, np.nextafter(0.1, 0.0), 0.4, 0.5], "nondecreasing"),  # by one ulp
+        ([0.0, 0.1, np.nan, 0.4, 0.5], "finite"),
+        ([0.0, 0.1, 0.2, np.inf, np.inf], "finite"),
+        ([-np.inf, 0.0, 0.1, 0.2, 0.3], "finite"),
+        ([-0.1, 0.0, 0.1, 0.2, 0.3], "nonnegative"),
+        ([[0.0], [0.1], [0.2], [0.3], [0.4]], "does not match grid"),
+        ([0.0, 0.1, 0.2, 0.3], "does not match grid"),
+        (0.5, "does not match grid"),
+    ])
+    def test_bad_hand_built_curves_rejected(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), np.array(b))
+
+    @pytest.mark.parametrize("b", [
+        [-0.0, 0.0, -0.0, 0.2, 0.3],     # equal values with different bits
+        [0.0, 0.1, 0.1, 0.4, 0.9],       # ties
     ])
     @pytest.mark.parametrize("N", [1, 4, 5, 6, 9, 10, 11, 50])
-    def test_hand_built_curves(self, b, ordered, N):
+    def test_hand_built_curves(self, b, N):
         c = BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), np.array(b))
-        assert c.ordered is ordered
-        assert c.draw(N, 8).tobytes() == _sorted_gather(c, N, 8).tobytes()
+        assert c.counting(N) is (N >= 20)
+        out = c.draw(N, 8)
+        assert out.tobytes() == _at_sorted_indices(c, N, 8).tobytes()
+        np.testing.assert_array_equal(out, _sorted_gather(c, N, 8))
 
     @pytest.mark.parametrize("N", [1, 50_000, 4 * 70_001 - 1, 4 * 70_001])
     def test_grid_wider_than_16_bits(self, N):
         # indices above 2**16 must survive the index path
         c = bid_curve(ALL_PAY, Beta22(), uniform_stair(8), QuantileGrid(70_000))
-        assert c.ordered
+        assert c.counting(N) is (N == 4 * 70_001)
         out = c.draw(N, 21)
+        assert out.tobytes() == _at_sorted_indices(c, N, 21).tobytes()
         assert out.tobytes() == _sorted_gather(c, N, 21).tobytes()
 
-    def test_equilibrium_curves_are_ordered(self):
+    @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
+    def test_equilibrium_curves_are_ordered(self, fmt):
         for rule in (MultiUnit(1, 8), MultiUnit(7, 8), uniform_stair(8)):
-            assert bid_curve(ALL_PAY, Beta22(), rule, GRID).ordered
+            b = bid_curve(fmt, Beta22(), rule, GRID).b
+            assert b[0] >= 0 and np.all(b[1:] >= b[:-1])
 
 
 class TestBidSample:

@@ -128,7 +128,7 @@ def _simulate_cell(argv):
 @pytest.mark.parametrize("argv", sorted(COUNTING))
 def test_counting_cells_reach_the_counting_path(argv):
     spec, curve = _simulate_cell(argv)
-    assert curve.ordered and spec.N >= 4 * len(curve.b)
+    assert curve.counting(spec.N)
 
 
 # N = 200 draws from a 2001-point all-pay grid: the index-sort path of BidCurve.draw
@@ -139,7 +139,7 @@ INDEX_SORT = sorted(k for k in GOLDEN if k.startswith("simulate") and "--grid-m 
 def test_grid_2000_cells_reach_the_index_sort_path(argv):
     spec, curve = _simulate_cell(argv)
     assert spec.format == "allpay"
-    assert curve.ordered and spec.N < 4 * len(curve.b)
+    assert not curve.counting(spec.N)
 
 
 # first-price cells at n = 256, recorded before the binomial tails left scipy
