@@ -27,10 +27,10 @@ four targets, with the largest relative gap between the two forms' values.
 Every welfare case is one n in {8, 32, 256, 1024} at N = 1e4: the same
 source and an all-pay ties sample, and the uniform stair's position weights
 as the welfare target (whose truth under Beta(2, 2) is 11/35).  It reports
-the median time of estimate_welfare and its value.  With --baseline DIR,
-the package under DIR/src (another checkout of this repo) is loaded beside
-this one and times the same calls, the two taking turns, and the case
-records both values and their relative difference.
+the median time of estimate(..., "welfare") and its value.  With
+--baseline DIR, the package under DIR/src (another checkout of this repo) is
+loaded beside this one and times the same calls, the two taking turns, and
+the case records both values and their relative difference.
 """
 from __future__ import annotations
 
@@ -131,14 +131,14 @@ def run_case(fmt: str, n: int, N: int, ties: bool, seed: int, repeats: int) -> d
 
 
 def welfare_case(pkgs: dict, n: int, seed: int, repeats: int) -> dict:
-    """Time estimate_welfare of each package on one sample at n."""
+    """Time the welfare estimate of each package on one sample at n."""
     x = ab.mixture(ab.uniform_stair(n), ab.MultiUnit(1, n), 0.1)
     bids = bids_for(ab.bid_curve(ab.ALL_PAY, ab.Beta22(), x, GRID), WELFARE_N, True, seed)
     calls = []
     for pkg in pkgs.values():
         px = pkg.mixture(pkg.uniform_stair(n), pkg.MultiUnit(1, n), 0.1)
-        sample, w = pkg.BidSample(pkg.ALL_PAY, px, bids), pkg.uniform_stair_weights(n)
-        calls.append(lambda pkg=pkg, s=sample, px=px, w=w: pkg.estimate_welfare(s, px, w).point)
+        sample, w = pkg.BidSample(pkg.ALL_PAY, px, bids), pkg.uniform_stair(n)
+        calls.append(lambda pkg=pkg, s=sample, px=px, w=w: float(pkg.estimate(s, px, (w,), "welfare")[0]))
     values = [call() for call in calls]
     steps = np.diff(bids, prepend=0.0, append=0.0)
     case = {"n": n, "N": WELFARE_N, "edges_used": int(np.count_nonzero(steps)),

@@ -1,5 +1,5 @@
 """Time one Monte Carlo trial in the sort form against the count form, on
-both sides of the counting boundary, and write the figures to
+both sides of the count-form boundary, and write the figures to
 BENCH_trials.json.
 
     python bench/trials.py [--baseline DIR] [--repeats 11] [--trials 10]
@@ -11,7 +11,7 @@ format, with N = r (m + 1) bids a trial for r in {0.5, 1, 2, 4, 10}.  Trial t
 draws from SeedSequence((seed, t)), and each form estimates it as follows:
 
 - sort: the weights K_{i-1} - K_i on the N cell edges dotted with the N
-  sorted bids of curve.draw (whichever path draw takes at that N);
+  sorted bids of curve.draw, which sorts the drawn grid indices at every N;
 - count: K_0 b_0 + K[C] @ db, with C the cumulative curve.counts of the
   trial's grid indices and db the grid bids' increments, so no bid vector is
   built.
@@ -20,7 +20,8 @@ Both forms have their kernel built beforehand, so a case reports, as medians
 over the repeats, each form's time per trial in microseconds, and the
 largest relative gap between their values.  It also times the whole
 trial_estimates call of --trials trials (kernel build included), which takes
-the count form exactly where curve.counting(N) holds, from N = 4 (m + 1) on.
+the count form exactly where harness._count_form(curve, N) holds, from
+N = 4 (m + 1) on.
 With --baseline DIR, the package under DIR/src (another checkout of this
 repo) is loaded beside this one and its trial_estimates is timed on the same
 cell, the two taking turns, and the case records the largest relative
@@ -84,7 +85,7 @@ def run_case(pkgs: dict, fmt: str, ratio: float, seed: int, trials: int, repeats
     sort_vals, count_vals = np.array(sort_form()), np.array(count_form())
     times = medians(calls, repeats, 1.0)
     case = {
-        "format": fmt, "N_over_m_plus_1": ratio, "N": N, "counting": curve.counting(N),
+        "format": fmt, "N_over_m_plus_1": ratio, "N": N, "counting": ab.harness._count_form(curve, N),
         "per_trial_us": {"sort": 1e6 * times[0] / trials, "count": 1e6 * times[1] / trials},
         "max_rel_gap": float(np.max(np.abs(count_vals - sort_vals) / np.abs(sort_vals))),
         "trial_estimates_ms": {name: 1e3 * t for name, t in zip(pkgs, times[2:])},

@@ -244,8 +244,9 @@ class AllocationRule:
     Every rule is a position rule, i.e. its vector w of position weights
     w_1 >= ... >= w_n (read-only); two rules are equal when their weight
     vectors are.  The weights number at least 2, each in [0, 1] (so no
-    NaN), none above its predecessor by more than rounding.  Build rules
-    from their weights, or with MultiUnit, Mixture or parse_rule.
+    NaN), none above its predecessor by more than rounding (1e-12), which is
+    lowered to the running minimum.  Build rules from their weights, or
+    with MultiUnit, Mixture or parse_rule.
     Construction finds once the runs [k0, k1] (k1 <= n-1) of equal
     nonzero marginal weight and the mass w_k0 - w_{k1+1} of each.  A run
     takes each next weight within RUN_RTOL (relative) of its first; the runs
@@ -272,6 +273,9 @@ class AllocationRule:
         wbar = w[:-1] - w[1:]
         if (wbar < -1e-12).any():
             raise ValueError("position weights must be nonincreasing")
+        if (wbar < 0.0).any():  # a rounding rise would be negative mass, x' < 0
+            w = read_only(np.minimum.accumulate(w), self.w)
+            wbar = w[:-1] - w[1:]
         i0, i1 = _run_bounds(wbar)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_runs", tuple(zip(

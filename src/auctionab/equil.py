@@ -62,21 +62,13 @@ class BidCurve:
             raise ValueError("bid curve must be nonnegative")
         if np.any(b[1:] < b[:-1]):
             raise ValueError("bid curve must be nondecreasing")
-        object.__setattr__(self, "b", b)
-        self.b.setflags(write=False)
-
-    def counting(self, N: int) -> bool:
-        """Whether draw(N, seed) repeats the grid bids counts(N, seed) times
-        rather than sorting the drawn indices: from four times the grid size
-        on.  Below that the sort is cheaper than repeating each of the
-        m + 1 grid bids."""
-        return N >= 4 * len(self.b)
+        object.__setattr__(self, "b", read_only(b, self.b))
 
     def counts(self, N: int, seed) -> np.ndarray:
         """How often each grid index is drawn among N uniform draws with
         replacement: the bincount, of length m + 1 and sum N, of the default
-        int64 index draw of numpy's default_rng(seed), which is the draw
-        that both paths of `draw` sort or count."""
+        int64 index draw of numpy's default_rng(seed), whose indices `draw`
+        sorts, so np.repeat(b, counts(N, seed)) is draw(N, seed)."""
         check("N", N)
         rng = np.random.default_rng(seed)
         # bincount wants intp indices
@@ -92,17 +84,13 @@ class BidCurve:
         (PCG64); `seed` may be an int or a numpy SeedSequence, which is how
         the Monte Carlo harness derives independent per-trial streams.
 
-        - index sort (N below four times the grid size): the indices are
-          drawn as int32, sorted, then gathered.  numpy draws both widths
-          with the same 32-bit Lemire step, so idx is unchanged.
-        - counting (`counting(N)`): each grid bid is repeated as often as
-          `counts` says it was drawn, in O(N + m) with no sort.  The Monte
-          Carlo trials skip even that and estimate from the counts.
+        The indices are drawn as int32, sorted, then gathered; numpy draws
+        both widths with the same 32-bit Lemire step, so idx is unchanged.
+        Monte Carlo trials with many more draws than grid bids estimate
+        from `counts` instead (harness.trial_estimates).
         """
         check("N", N)
         b = self.b
-        if self.counting(N):
-            return np.repeat(b, self.counts(N, seed))
         idx = np.random.default_rng(seed).integers(0, len(b), size=N, dtype=np.int32)
         idx.sort()
         return b.take(idx)
@@ -164,6 +152,7 @@ def bid_curve(
         # takes only nondecreasing bids, so lift those to the running maximum
         if np.any(b[1:] < b[:-1]):
             np.maximum.accumulate(b, out=b)
+    b.setflags(write=False)  # no one else holds it, so BidCurve need not copy it
     return BidCurve(fmt, rule, grid, b)
 
 

@@ -12,10 +12,10 @@ exactly over each bid's cell), and y/x' for the all-pay welfare of
 position rule y (measure="welfare", SourceGrid.welfare_kernel), which for
 the rule that serves every agent, y = 1, is the expected value.  Gathered
 per bid, the sum is the weight form sum_i (K_{i-1} - K_i) b_i that the
-Monte Carlo trials use below N = 4 (m + 1) bids from an m-cell bid curve
-(BidCurve.counting); where 1/x' spans many decades that form cancels to
-rounding noise on tied bids.  From there on the trials sum K over the grid
-bids' increments instead (harness.trial_estimates).
+Monte Carlo trials use below N = 4 (m + 1) bids from an m-cell bid curve;
+where 1/x' spans many decades that form cancels to rounding noise on tied
+bids.  From there on the trials sum K over the grid bids' increments
+instead (harness.trial_estimates).
 
 DegenerateSourceError is raised only at an edge the estimate uses, where x'
 vanishes and the kernel's numerator does not, so a source that is flat only

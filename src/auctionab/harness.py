@@ -80,6 +80,12 @@ class MadResult:
             raise ValueError("mean absolute deviation cannot be negative")
 
 
+def _count_form(curve: BidCurve, N: int) -> bool:
+    """Whether trials of N bids from curve take the count form: from 4 (m + 1)
+    on.  Below that, sorting the N drawn grid indices is cheaper."""
+    return N >= 4 * len(curve.b)
+
+
 def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
                     trials: int) -> np.ndarray:
     """P_hat of each target in ys over `trials` replicates, one row per
@@ -87,15 +93,15 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     K on the N + 1 cell edges built once.  Trial t is seeded from (seed, t),
     so row t does not depend on the other trials.
 
-    From N = 4 (m + 1) on (`curve.counting(N)`), a trial never builds its
+    From N = 4 (m + 1) on (`_count_form`), a trial never builds its
     N bids: they change only where the cumulative grid counts
     C_j = counts_0 + ... + counts_j step from grid bid b_j to b_{j+1}, so
     the estimate sum_i K_i (bid_{i+1} - bid_i) is
     K_0 b_0 + sum_j K[C_j] (b_{j+1} - b_j), with b_{m+1} = 0, in O(m) after
     the draw.  Below that the trial dots the weights K_{i-1} - K_i with its
-    sorted bids."""
+    sorted bids, curve.draw(N, stream)."""
     out = np.empty((check("trials", trials), len(ys)))
-    if curve.counting(N):
+    if _count_form(curve, N):
         Ks = list(map(SourceGrid(curve.format, x, N).kernel, ys))
         b = curve.b
         db = np.diff(b, append=0.0)

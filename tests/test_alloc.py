@@ -23,6 +23,8 @@ from auctionab.alloc import (
     universal_b,
 )
 from auctionab.alloc import _as_array, _between, _binom_pmf, _ibeta
+from auctionab.dist import Beta22, QuantileGrid
+from auctionab.equil import ALL_PAY, FIRST_PRICE, bid_curve
 
 
 def multi_unit_alloc(k: int, n: int, q):
@@ -274,6 +276,23 @@ class TestAllocationRuleWeights:
         # a mixture's weights may rise by an ulp; the check allows 1e-12
         rule = AllocationRule(np.array([1.0, 0.5 + 1e-13, 0.5, 0.0]))
         assert rule.n == 4
+
+    @pytest.mark.parametrize("w", [[0.5, 0.5 + 1e-13, 0.5 + 1e-13], [1.0, 0.5, 0.5 + 1e-13, 0.0]])
+    def test_rounding_rise_lowered_to_the_running_minimum(self, w):
+        # kept as a run of negative mass, the rise made x' < 0 and the
+        # all-pay bid curve decrease
+        rule = AllocationRule(np.array(w))
+        assert rule.w.tolist() == np.minimum.accumulate(w).tolist() and not rule.w.flags.writeable
+        assert np.all(rule.xprime(np.linspace(0.0, 1.0, 1001)) >= 0.0)
+        for fmt in (ALL_PAY, FIRST_PRICE):
+            bid_curve(fmt, Beta22(), rule, QuantileGrid(200))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            AllocationRule([0.5, 0.5 + 1e-9, 0.5 + 1e-9])
+
+    @pytest.mark.parametrize("w", [[1.0, 0.0, -0.0], [1.0, -0.0, 0.0], [-0.0, 0.0], [0.5, 0.5, 0.0]])
+    def test_nonincreasing_weights_keep_their_bits(self, w):
+        a = np.array(w)
+        assert AllocationRule(a).w.tobytes() == a.tobytes()
 
     def test_caller_array_stays_writable(self):
         a = np.array([1.0, 0.5, 0.0])

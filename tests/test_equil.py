@@ -196,10 +196,10 @@ def _at_sorted_indices(curve, N, seed):
 
 
 class TestDraw:
-    """`draw` sorts int32 grid indices below four times the grid size and
-    counts the grid bids from there.  Both give the grid bids at the sorted
-    int64 draws, bit for bit; on an equilibrium curve that is also the
-    array that sorting the gathered bids gives."""
+    """`draw` sorts int32 grid indices at every N, which gives the grid bids
+    at the sorted int64 draws, bit for bit; on an equilibrium curve that is
+    also the array that sorting the gathered bids gives.  The sizes checked
+    lie on both sides of N = 4 (m + 1), the trials' count-form boundary."""
 
     @pytest.mark.parametrize("M", [2, 101, 10_001, 65_537, 2**20])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
@@ -246,7 +246,6 @@ class TestDraw:
     @pytest.mark.parametrize("N", [1, 4, 5, 6, 9, 10, 11, 50])
     def test_hand_built_curves(self, b, N):
         c = BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), np.array(b))
-        assert c.counting(N) is (N >= 20)
         out = c.draw(N, 8)
         assert out.tobytes() == _at_sorted_indices(c, N, 8).tobytes()
         np.testing.assert_array_equal(out, _sorted_gather(c, N, 8))
@@ -255,10 +254,17 @@ class TestDraw:
     def test_grid_wider_than_16_bits(self, N):
         # indices above 2**16 must survive the index path
         c = bid_curve(ALL_PAY, Beta22(), uniform_stair(8), QuantileGrid(70_000))
-        assert c.counting(N) is (N == 4 * 70_001)
         out = c.draw(N, 21)
         assert out.tobytes() == _at_sorted_indices(c, N, 21).tobytes()
         assert out.tobytes() == _sorted_gather(c, N, 21).tobytes()
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        c = BidCurve(ALL_PAY, uniform_stair(4), QuantileGrid(4), a)
+        a[0] = 0.05
+        assert c.b.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4] and not c.b.flags.writeable
+        # a read-only input, as bid_curve passes, is kept without a copy
+        assert BidCurve(ALL_PAY, c.rule, c.grid, c.b).b is c.b
 
     @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
     def test_equilibrium_curves_are_ordered(self, fmt):

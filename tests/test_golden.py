@@ -18,7 +18,7 @@ from auctionab.alloc import mixture, parse_rule
 from auctionab.cli import cli_main
 from auctionab.dist import Beta22, QuantileGrid
 from auctionab.equil import bid_curve, sample_bids
-from auctionab.harness import ExperimentSpec
+from auctionab.harness import ExperimentSpec, _count_form
 
 MAD_HEADER = ["# auctionab-mad-v1",
               "design,n,N,eps,trials,seed,raw_mad,norm_sqrtN_over_n,norm_sqrt_N_over_n_alt,bound"]
@@ -100,7 +100,7 @@ GOLDEN.update({
                          "3.740413387e+36 461377.6632 3.994309698"),
 })
 
-# N = 1000 draws from a 101-point grid: the counting path of BidCurve.draw
+# N = 1000 draws from a 101-point grid: the trials' count form
 COUNTING = {
     "simulate --design 2 --n 32 --N 1000 --trials 8 --grid-m 100 --seed 11 --format allpay":
         MAD_HEADER + ["2,32,1000,0.001,8,11,0.04211943674,0.04162292308,0.2354548093,9.210340372"],
@@ -128,10 +128,10 @@ def _simulate_cell(argv):
 @pytest.mark.parametrize("argv", sorted(COUNTING))
 def test_counting_cells_reach_the_counting_path(argv):
     spec, curve = _simulate_cell(argv)
-    assert curve.counting(spec.N)
+    assert _count_form(curve, spec.N)
 
 
-# N = 200 draws from a 2001-point all-pay grid: the index-sort path of BidCurve.draw
+# N = 200 draws from a 2001-point all-pay grid: the trials' index sort, BidCurve.draw
 INDEX_SORT = sorted(k for k in GOLDEN if k.startswith("simulate") and "--grid-m 2000" in k)
 
 
@@ -139,7 +139,7 @@ INDEX_SORT = sorted(k for k in GOLDEN if k.startswith("simulate") and "--grid-m 
 def test_grid_2000_cells_reach_the_index_sort_path(argv):
     spec, curve = _simulate_cell(argv)
     assert spec.format == "allpay"
-    assert not curve.counting(spec.N)
+    assert not _count_form(curve, spec.N)
 
 
 # first-price cells at n = 256, recorded before the binomial tails left scipy

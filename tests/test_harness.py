@@ -10,6 +10,7 @@ from auctionab.estim import SourceGrid, estimate
 from auctionab.harness import (
     ExperimentSpec,
     MadResult,
+    _count_form,
     design_rules,
     epsilon_sweep,
     run_design,
@@ -133,15 +134,15 @@ class TestSeedingRule:
     ])
     def test_row_t_is_trial_t_stream(self, fmt, design, n, eps, N, path):
         """Row t is the estimate from stream SeedSequence((seed, t)), bit for
-        bit, and T trials are the first T rows of T + 5 trials, on both of
-        draw's paths.  On the sort paths the row is the weights dotted
-        with curve.draw(N, stream); on the counting path it is the kernel at
+        bit, and T trials are the first T rows of T + 5 trials, in both of
+        the trials' forms.  Below N = 4 (m + 1) the row is the weights dotted
+        with curve.draw(N, stream); in the count form it is the kernel at
         the cumulative curve.counts(N, stream) dotted with the grid bids'
         increments, within 1e-12 of that weight form."""
         a, b = design_rules(design, n)
         c = mixture(a, b, eps)
         curve = bid_curve(fmt, Beta22(), c, QuantileGrid(500))
-        assert curve.counting(N) == (path == "counting")
+        assert _count_form(curve, N) == (path == "counting")
         ys, seed, T = (a, b), 11, 6
         est = trial_estimates(curve, c, ys, N, seed, T)
         grid = SourceGrid(fmt, c, N)
@@ -162,7 +163,7 @@ class TestSeedingRule:
     @pytest.mark.parametrize("N", [300, 2500])
     def test_counts_are_the_draw(self, fmt, design, n, eps, N):
         """counts(N, seed) sums to N, and repeating each grid bid that often
-        gives draw(N, seed), below and above the counting boundary alike."""
+        gives draw(N, seed), below and above the count-form boundary alike."""
         a, b = design_rules(design, n)
         curve = bid_curve(fmt, Beta22(), mixture(a, b, eps), QuantileGrid(500))
         seed = np.random.SeedSequence((11, 2))
@@ -172,7 +173,7 @@ class TestSeedingRule:
 
 
 class TestCountForm:
-    """Trials on the counting path estimate from grid counts, never from the
+    """Trials in the count form estimate from grid counts, never from the
     N sorted bids; a small grid with N = 4 (m + 1) reaches it."""
 
     @staticmethod
@@ -181,7 +182,7 @@ class TestCountForm:
         c = mixture(a, b, eps)
         curve = bid_curve(fmt, Beta22(), c, QuantileGrid(m))
         N = 4 * (m + 1)
-        assert curve.counting(N)
+        assert _count_form(curve, N)
         return curve, c, (a, b), N
 
     @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
