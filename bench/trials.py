@@ -16,9 +16,10 @@ draws from SeedSequence((seed, t)), and each form estimates it as follows:
   trial's grid indices and db the grid bids' increments, so no bid vector is
   built.
 
-Both forms have their kernel built beforehand, so a case reports, as medians
-over the repeats, each form's time per trial in microseconds, and the
-largest relative gap between their values.  It also times the whole
+Both forms have their kernel built beforehand and dot with estim._dot, as
+the trials do, so a case reports, as medians over the repeats, each form's
+time per trial in microseconds, and the largest relative gap between their
+values.  It also times the whole
 trial_estimates call of --trials trials (kernel build included), which takes
 the count form exactly where harness._count_form(curve, N) holds, from
 N = 4 (m + 1) on.
@@ -26,7 +27,9 @@ With --baseline DIR, the package under DIR/src (another checkout of this
 repo) is loaded beside this one and its trial_estimates is timed on the same
 cell, the two taking turns, and the case records the largest relative
 difference of the two packages' rows.  BLAS runs on one thread, as in
-perfbench, unless the environment sets its thread count.
+perfbench, unless the environment sets its thread count: this package's dots
+do not depend on it, but a baseline checkout from before the in-order dot
+threads its dots of more than 10^4 elements.
 """
 from __future__ import annotations
 
@@ -36,9 +39,9 @@ import os
 import sys
 from pathlib import Path
 
-# a dot of more than 10^4 elements, as both forms take at m = 10^4, is
-# threaded by OpenBLAS, and on a busy 2-CPU host waking its threads took
-# milliseconds per call; so pin them before numpy loads BLAS
+# a baseline checkout's dot of more than 10^4 elements, as both forms take at
+# m = 10^4, is threaded by OpenBLAS, and on a busy 2-CPU host waking its
+# threads took milliseconds per call; so pin them before numpy loads BLAS
 BLAS_THREADS = {k: os.environ.setdefault(k, "1")
                 for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -48,7 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import auctionab as ab  # noqa: E402
-from auctionab.estim import SourceGrid  # noqa: E402
+from auctionab.estim import SourceGrid, _dot  # noqa: E402
 from estim_kernels import describe, load_package, medians, provenance  # noqa: E402
 
 RATIOS = (0.5, 1, 2, 4, 10)
@@ -71,10 +74,10 @@ def run_case(pkgs: dict, fmt: str, ratio: float, seed: int, trials: int, repeats
     streams = [np.random.SeedSequence((seed, t)) for t in range(trials)]
 
     def sort_form():
-        return [w @ curve.draw(N, s) for s in streams]
+        return [_dot(w, curve.draw(N, s)) for s in streams]
 
     def count_form():
-        return [head + K.take(curve.counts(N, s).cumsum()) @ db for s in streams]
+        return [head + _dot(K.take(curve.counts(N, s).cumsum()), db) for s in streams]
 
     rows, calls = {}, [sort_form, count_form]
     for name, pkg in pkgs.items():

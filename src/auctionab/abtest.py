@@ -37,6 +37,7 @@ def best_of_r(
     rescales all but the first as in compare_revenues); all candidates are
     estimated from the same sample.  Ties break toward the lowest index.
     """
+    check("alpha", alpha)
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("need at least two candidates")

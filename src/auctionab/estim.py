@@ -15,7 +15,7 @@ per bid, the sum is the weight form sum_i (K_{i-1} - K_i) b_i that the
 Monte Carlo trials use below N = 4 (m + 1) bids from an m-cell bid curve;
 where 1/x' spans many decades that form cancels to rounding noise on tied
 bids.  From there on the trials sum K over the grid bids' increments
-instead (harness.trial_estimates).
+instead (harness.trial_estimates).  Every such sum is taken by _dot.
 
 DegenerateSourceError is raised only at an edge the estimate uses, where x'
 vanishes and the kernel's numerator does not, so a source that is flat only
@@ -33,6 +33,7 @@ from .equil import ALL_PAY, FIRST_PRICE, BidSample
 
 #: derivatives at or below this are treated as exact zeros
 TINY_SLOPE = 1e-300
+_DOT_CHUNK = 10_000  # OpenBLAS's ddot runs on one thread up to this many elements
 
 
 class DegenerateSourceError(ValueError):
@@ -129,6 +130,16 @@ class SourceGrid:
         return K[:-1] - K[1:]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b in slices of _DOT_CHUNK summed left to right: no thread count enters."""
+    if len(a) <= _DOT_CHUNK:
+        return a @ b
+    total = 0.0
+    for i in range(0, len(a), _DOT_CHUNK):
+        total += a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
+    return total
+
+
 def _bid_steps(sample: BidSample, x: AllocationRule) -> tuple[SourceGrid, np.ndarray]:
     """x on the edges where the sorted bids, with a 0 before and after,
     change, and those changes b_{i+1} - b_i: a kernel dotted with them is
@@ -149,7 +160,7 @@ def estimate(sample: BidSample, x: AllocationRule, targets, measure: str = "reve
         raise ValueError(f"unknown measure {measure!r}: use revenue or welfare")
     grid, steps = _bid_steps(sample, x)
     kernel = grid.kernel if measure == "revenue" else grid.welfare_kernel
-    return np.array([float(kernel(y) @ steps) for y in targets])
+    return np.array([float(_dot(kernel(y), steps)) for y in targets])
 
 
 def estimate_revenue(sample: BidSample, x: AllocationRule, y: AllocationRule) -> EstimateReport:

@@ -14,7 +14,7 @@ import numpy as np
 from .alloc import AllocationRule, MultiUnit, check, mixture, uniform_stair
 from .dist import QuantileGrid, ValueDistribution, make_distribution, true_revenue
 from .equil import ALL_PAY, BidCurve, bid_curve
-from .estim import SourceGrid
+from .estim import SourceGrid, _dot
 
 #: default mixture weight of the treatment arm in the benchmark designs
 DEFAULT_EPS = 0.001
@@ -99,7 +99,7 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     the estimate sum_i K_i (bid_{i+1} - bid_i) is
     K_0 b_0 + sum_j K[C_j] (b_{j+1} - b_j), with b_{m+1} = 0, in O(m) after
     the draw.  Below that the trial dots the weights K_{i-1} - K_i with its
-    sorted bids, curve.draw(N, stream)."""
+    sorted bids, curve.draw(N, stream).  Both dots are estim._dot's."""
     out = np.empty((check("trials", trials), len(ys)))
     if _count_form(curve, N):
         Ks = list(map(SourceGrid(curve.format, x, N).kernel, ys))
@@ -109,7 +109,7 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
         for t in range(trials):
             C = curve.counts(N, np.random.SeedSequence((seed, t))).cumsum()
             for i, K in enumerate(Ks):
-                out[t, i] = heads[i] + K.take(C) @ db
+                out[t, i] = heads[i] + _dot(K.take(C), db)
         return out
     ws = list(map(SourceGrid(curve.format, x, N).weights, ys))
     # bare draws: a BidSample would re-check the sorted bids, about 30 us on
@@ -117,7 +117,7 @@ def trial_estimates(curve: BidCurve, x: AllocationRule, ys, N: int, seed: int,
     for t in range(trials):
         bids = curve.draw(N, np.random.SeedSequence((seed, t)))
         for i, w in enumerate(ws):
-            out[t, i] = w @ bids
+            out[t, i] = _dot(w, bids)
     return out
 
 

@@ -67,6 +67,12 @@ class TestBestOfR:
         idx, _ = best_of_r(s, x, [MultiUnit(k, 8) for k in (1, 3, 5, 7)])
         assert idx == want
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_alpha(self, alpha):
+        x, s = universal_sample(8, 1000, 11)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            best_of_r(s, x, [MultiUnit(1, 8), MultiUnit(3, 8)], alpha)
+
     def test_needs_two_candidates(self):
         x, s = universal_sample(8, 100, 15)
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from auctionab.equil import (
     invert,
     sample_bids,
 )
-from auctionab.estim import estimate_revenue, estimate_welfare
+from auctionab.estim import estimate
 from auctionab.harness import ExperimentSpec, design_rules, epsilon_sweep, run_design
 
 GRID = QuantileGrid(10_000)
@@ -75,13 +75,13 @@ def test_criterion_01_estimator_exactness():
     curve = bid_curve(ALL_PAY, Beta22(), x, QuantileGrid(2000))
     sample = sample_bids(curve, 500, 0)
 
-    self_est = estimate_revenue(sample, x, x).point
+    self_est = float(estimate(sample, x, [x])[0])
     err_self = abs(self_est - float(np.mean(sample.bids)))
 
     a, b = MultiUnit(2, 8), uniform_stair(8)
     mix = mixture(a, b, 0.3)
-    combo = 0.7 * estimate_revenue(sample, x, a).point + 0.3 * estimate_revenue(sample, x, b).point
-    err_lin = abs(estimate_revenue(sample, x, mix).point - combo)
+    combo = 0.7 * float(estimate(sample, x, [a])[0]) + 0.3 * float(estimate(sample, x, [b])[0])
+    err_lin = abs(float(estimate(sample, x, [mix])[0]) - combo)
 
     elapsed = time.perf_counter() - start
     ok = err_self <= 1e-12 and err_lin <= 1e-12 and elapsed < 1.0
@@ -246,7 +246,7 @@ def test_criterion_09_welfare_against_order_statistic_oracle():
     estimates = np.empty(trials)
     for t in range(trials):
         s = sample_bids(curve, 100_000, np.random.SeedSequence((20, t)))
-        estimates[t] = estimate_welfare(s, x, w).point
+        estimates[t] = float(estimate(s, x, [w], "welfare")[0])
     sw = true_welfare(dist, w, GRID)
     # one estimate at N=1e5, judged against its own standard error measured
     # from the replicates; the quadrature oracle has no sampling error

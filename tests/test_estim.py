@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -17,13 +18,23 @@ from auctionab.alloc import (
 from auctionab.dist import Beta22, QuantileGrid, Uniform01, expected_value, true_revenue
 from auctionab.equil import ALL_PAY, FIRST_PRICE, BidSample, bid_curve, sample_bids
 from auctionab.harness import trial_estimates
-from auctionab.estim import DegenerateSourceError, SourceGrid, estimate, estimate_revenue, estimate_welfare
+from auctionab.estim import DegenerateSourceError, SourceGrid, _dot, estimate
 
 GRID = QuantileGrid(10_000)
 
 
 def allpay_sample(dist, rule, N, seed, grid=GRID):
     return sample_bids(bid_curve(ALL_PAY, dist, rule, grid), N, seed)
+
+
+def revenue(sample, x, y):
+    """y's revenue estimate: the one-target estimate."""
+    return float(estimate(sample, x, [y])[0])
+
+
+def welfare(sample, x, y):
+    """y's all-pay welfare estimate."""
+    return float(estimate(sample, x, [y], "welfare")[0])
 
 
 def mean_value(sample, x):
@@ -40,7 +51,7 @@ class TestExactIdentities:
     def test_self_estimation_equals_sample_mean(self):
         for rule in (uniform_stair(4), MultiUnit(1, 4), MultiUnit(3, 4)):
             s = allpay_sample(Beta22(), rule, 777, 3)
-            est = estimate_revenue(s, rule, rule).point
+            est = revenue(s, rule, rule)
             assert abs(est - s.bids.mean()) <= 1e-12
 
     def test_weights_sum_to_one_for_self(self):
@@ -53,8 +64,8 @@ class TestExactIdentities:
         y1, y2 = MultiUnit(2, 8), MultiUnit(5, 8)
         lam = 0.3
         ymix = mixture(y1, y2, 1 - lam)  # weight lam on y1
-        direct = estimate_revenue(s, x, ymix).point
-        combo = lam * estimate_revenue(s, x, y1).point + (1 - lam) * estimate_revenue(s, x, y2).point
+        direct = revenue(s, x, ymix)
+        combo = lam * revenue(s, x, y1) + (1 - lam) * revenue(s, x, y2)
         assert abs(direct - combo) <= 1e-12
 
     def test_linearity_first_price(self):
@@ -62,8 +73,8 @@ class TestExactIdentities:
         s = sample_bids(bid_curve(FIRST_PRICE, Beta22(), x, GRID), 500, 1)
         y1, y2 = MultiUnit(2, 8), MultiUnit(5, 8)
         ymix = mixture(y1, y2, 0.5)
-        direct = estimate_revenue(s, x, ymix).point
-        combo = 0.5 * (estimate_revenue(s, x, y1).point + estimate_revenue(s, x, y2).point)
+        direct = revenue(s, x, ymix)
+        combo = 0.5 * (revenue(s, x, y1) + revenue(s, x, y2))
         assert abs(direct - combo) <= 1e-12
 
 
@@ -78,7 +89,7 @@ class TestAllPayEstimator:
         mads = []
         for N in (1000, 100_000):
             errs = [
-                abs(estimate_revenue(sample_bids(curve, N, np.random.SeedSequence((21, t))), x, y).point - truth)
+                abs(revenue(sample_bids(curve, N, np.random.SeedSequence((21, t))), x, y) - truth)
                 for t in range(200)
             ]
             mads.append(np.mean(errs))
@@ -91,7 +102,7 @@ class TestAllPayEstimator:
         curve = bid_curve(ALL_PAY, d, x, GRID)
         truth = true_revenue(d, y, GRID)
         est = np.mean(
-            [estimate_revenue(sample_bids(curve, 10_000, np.random.SeedSequence((22, t))), x, y).point
+            [revenue(sample_bids(curve, 10_000, np.random.SeedSequence((22, t))), x, y)
              for t in range(200)]
         )
         assert abs(est - truth) <= 2e-3
@@ -100,7 +111,7 @@ class TestAllPayEstimator:
         rule = AllocationRule([0.0, 0.0])
         s = allpay_sample(Uniform01(), uniform_stair(2), 100, 0)
         with pytest.raises(DegenerateSourceError):
-            estimate_revenue(s, rule, uniform_stair(2))
+            revenue(s, rule, uniform_stair(2))
 
     @pytest.mark.parametrize("fmt", [ALL_PAY, FIRST_PRICE])
     def test_flat_source_where_bids_tie_estimates(self, fmt):
@@ -111,7 +122,7 @@ class TestAllPayEstimator:
         s = BidSample(fmt, x, np.concatenate([np.zeros(50), np.linspace(0.1, 0.5, 50)]))
         with pytest.raises(DegenerateSourceError):
             SourceGrid(fmt, x, 100).weights(y)
-        assert np.isfinite(estimate_revenue(s, x, y).point)
+        assert np.isfinite(revenue(s, x, y))
         if fmt == ALL_PAY:
             assert np.isfinite(mean_value(s, x))
 
@@ -121,7 +132,7 @@ class TestAllPayEstimator:
         x, y = MultiUnit(1, 200), uniform_stair(200)
         s = BidSample(fmt, x, np.concatenate([np.zeros(2), np.linspace(0.1, 0.5, 98)]))
         with pytest.raises(DegenerateSourceError, match=r"q=0\.02$") as exc:
-            estimate_revenue(s, x, y)
+            revenue(s, x, y)
         assert exc.value.quantile == 0.02
 
     def test_flat_edge_raises_where_the_welfare_target_serves(self):
@@ -130,8 +141,8 @@ class TestAllPayEstimator:
         x = MultiUnit(1, 200)
         s = BidSample(ALL_PAY, x, np.concatenate([np.zeros(2), np.linspace(0.1, 0.5, 98)]))
         with pytest.raises(DegenerateSourceError, match=r"q=0\.02$"):
-            estimate_welfare(s, x, uniform_stair(200))
-        assert np.isfinite(estimate_welfare(s, x, x).point)
+            welfare(s, x, uniform_stair(200))
+        assert np.isfinite(welfare(s, x, x))
 
     def test_expected_value_never_uses_the_ends(self):
         # at N = 20 only edge 0 (clamped to q = 0.025) is flat: revenue uses
@@ -139,7 +150,7 @@ class TestAllPayEstimator:
         x = MultiUnit(1, 200)
         s = BidSample(ALL_PAY, x, np.linspace(0.1, 0.5, 20))
         with pytest.raises(DegenerateSourceError, match=r"q=0\.025$"):
-            estimate_revenue(s, x, uniform_stair(200))
+            revenue(s, x, uniform_stair(200))
         assert np.isfinite(mean_value(s, x))
 
     def test_degenerate_source_error_pickles(self):
@@ -173,7 +184,7 @@ class TestFirstPriceEstimator:
         curve = bid_curve(FIRST_PRICE, d, x, GRID)
         truth = true_revenue(d, y, GRID)
         errs = [
-            estimate_revenue(sample_bids(curve, 10_000, np.random.SeedSequence((23, t))), x, y).point - truth
+            revenue(sample_bids(curve, 10_000, np.random.SeedSequence((23, t))), x, y) - truth
             for t in range(50)
         ]
         assert abs(np.mean(errs)) <= 2e-3
@@ -185,7 +196,7 @@ class TestFirstPriceEstimator:
         curve = bid_curve(FIRST_PRICE, d, x, GRID)
         truth = true_revenue(d, x, GRID)
         errs = [
-            estimate_revenue(sample_bids(curve, 10_000, np.random.SeedSequence((24, t))), x, x).point - truth
+            revenue(sample_bids(curve, 10_000, np.random.SeedSequence((24, t))), x, x) - truth
             for t in range(50)
         ]
         assert abs(np.mean(errs)) <= 2e-3
@@ -198,7 +209,7 @@ class TestMultiUnitVector:
         vec = multiunit_revenues(s, x)
         assert len(vec) == 7
         for k in (1, 4, 7):
-            assert vec[k - 1] == estimate_revenue(s, x, MultiUnit(k, 8)).point
+            assert vec[k - 1] == revenue(s, x, MultiUnit(k, 8))
 
 
 @st.composite
@@ -227,14 +238,14 @@ class TestMultiTarget:
     @given(multi_target_cases(), st.floats(0.25, 4.0))
     def test_equal_to_loop_of_single_estimates(self, case, alpha):
         s, x, ys = case
-        loop = [estimate_revenue(s, x, y).point for y in ys]
+        loop = [revenue(s, x, y) for y in ys]
         assert estimate(s, x, ys).tolist() == loop
         idx, est = best_of_r(s, x, ys, alpha)
         assert est.tolist() == loop
         assert idx == int(np.argmax([loop[0]] + [alpha * p for p in loop[1:]]))
         assert compare_revenues(s, x, ys[0], ys[1], alpha) == revenue_verdict(loop[0], loop[1], alpha)
         units = [MultiUnit(k, x.n) for k in range(1, x.n)]
-        pk = [estimate_revenue(s, x, y).point for y in units]
+        pk = [revenue(s, x, y) for y in units]
         assert multiunit_revenues(s, x).tolist() == pk
         if s.format == ALL_PAY:
             # SW = w_1 vbar - sum_k (w_1 - w_{k+1}) P_k / k, each term summed
@@ -248,8 +259,8 @@ class TestMultiTarget:
             value = np.where((grid.q > 0.0) & (grid.q < 1.0), 1.0 / grid.xp, 0.0)
             scale = steps @ (y.w[0] * np.abs(value)
                              + sum(abs(ck) * np.abs(grid.kernel(u)) for ck, u in zip(c, units)))
-            assert abs(estimate_welfare(s, x, y).point - want) <= 1e-12 * scale
-            assert estimate_welfare(s, x, MultiUnit(x.n, x.n)).point == vbar
+            assert abs(welfare(s, x, y) - want) <= 1e-12 * scale
+            assert welfare(s, x, MultiUnit(x.n, x.n)) == vbar
 
 
 class TestIncrementForm:
@@ -277,7 +288,7 @@ class TestIncrementForm:
         s = BidSample(fmt, x, bids)
         grid = SourceGrid(fmt, x, N)
         w = grid.weights(y)
-        assert abs(estimate_revenue(s, x, y).point - w @ bids) <= 1e-12 * np.sum(np.abs(w * bids))
+        assert abs(revenue(s, x, y) - w @ bids) <= 1e-12 * np.sum(np.abs(w * bids))
         if fmt == ALL_PAY:
             # the expected value's weights keep both boundary terms
             z = 1.0 / grid.xp
@@ -297,7 +308,7 @@ class TestIncrementForm:
         for seed in range(5):
             s = sample_bids(curve, 10_000, seed)
             for est in (mean_value(s, x),
-                        estimate_welfare(s, x, uniform_stair(n)).point):
+                        welfare(s, x, uniform_stair(n))):
                 assert np.isfinite(est) and 0.0 <= est < 1.0
 
 
@@ -330,14 +341,14 @@ class TestWelfare:
         y = AllocationRule([1.0, 1.0, 1.0, 1.0])
         x = universal_b(4)
         s = allpay_sample(Beta22(), x, 5000, 6)
-        assert estimate_welfare(s, x, y).point == mean_value(s, x)
+        assert welfare(s, x, y) == mean_value(s, x)
 
     def test_one_unit_two_uniform_agents(self):
         y = MultiUnit(1, 2)
         x = uniform_stair(2)
         curve = bid_curve(ALL_PAY, Uniform01(), x, GRID)
         sw = np.mean(
-            [estimate_welfare(sample_bids(curve, 20_000, np.random.SeedSequence((26, t))), x, y).point
+            [welfare(sample_bids(curve, 20_000, np.random.SeedSequence((26, t))), x, y)
              for t in range(30)]
         )
         assert sw == pytest.approx(1 / 3, abs=3e-3)
@@ -352,12 +363,12 @@ class TestAgentCounts:
     OTHER = MultiUnit(2, 4)
 
     @pytest.mark.parametrize("call", [
-        lambda s, x, y: estimate_revenue(s, x, y),
+        lambda s, x, y: revenue(s, x, y),
         lambda s, x, y: estimate(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: best_of_r(s, x, (MultiUnit(1, 8), y)),
         lambda s, x, y: compare_revenues(s, x, MultiUnit(1, 8), y),
-        lambda s, x, y: estimate_welfare(s, x, y),
-        lambda s, x, y: estimate_welfare(s, x, AllocationRule([1.0, 0.0])),
+        lambda s, x, y: welfare(s, x, y),
+        lambda s, x, y: welfare(s, x, AllocationRule([1.0, 0.0])),
         lambda s, x, y: SourceGrid(ALL_PAY, x, 50).weights(y),
         lambda s, x, y: trial_estimates(bid_curve(ALL_PAY, Uniform01(), x, GRID), x, (y,), 50, 0, 2),
     ], ids=["estimate_revenue", "estimate_revenues", "best_of_r", "compare_revenues",
@@ -367,10 +378,10 @@ class TestAgentCounts:
             call(self.SAMPLE, self.X, self.OTHER)
 
     @pytest.mark.parametrize("call", [
-        lambda s, x: estimate_revenue(s, x, x),
+        lambda s, x: revenue(s, x, x),
         lambda s, x: multiunit_revenues(s, x),
         lambda s, x: mean_value(s, x),
-        lambda s, x: estimate_welfare(s, x, x),
+        lambda s, x: welfare(s, x, x),
     ], ids=["estimate_revenue", "estimate_multiunit_revenues", "estimate_expected_value",
             "estimate_welfare"])
     def test_sample_for_other_agent_count_rejected(self, call):
@@ -399,3 +410,20 @@ class TestEntryPoint:
         x = uniform_stair(4)
         with pytest.raises(ValueError, match="unknown measure"):
             estimate(allpay_sample(Uniform01(), x, 50, 0), x, [x], measure)
+
+
+class TestDot:
+    """_dot is a @ b up to 10^4 elements; a longer dot is a @ b over
+    consecutive slices of 10^4, summed left to right."""
+
+    @pytest.mark.parametrize("n", [1, 9_999, 10_000, 10_001, 25_000, 100_000])
+    def test_in_order_slices(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.random(n)
+        got = _dot(a, b)
+        want = a @ b if n <= 10_000 else 0.0
+        for i in range(0, n if n > 10_000 else 0, 10_000):
+            want += a[i:i + 10_000] @ b[i:i + 10_000]
+        assert float(got).hex() == float(want).hex()
+        products = a * b
+        assert abs(got - math.fsum(products)) <= 1e-13 * np.abs(products).sum()

@@ -11,9 +11,15 @@ tails with both parameters above 2, recorded while those tails still came
 from scipy.  These paths
 must keep printing the same bytes: same draws per trial, same weights, same
 CSV formatting."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import auctionab
 from auctionab.alloc import mixture, parse_rule
 from auctionab.cli import cli_main
 from auctionab.dist import Beta22, QuantileGrid
@@ -155,6 +161,17 @@ GOLDEN.update({
 def test_output_bytes_unchanged(argv, capsys):
     assert cli_main(argv.split()) == 0
     assert capsys.readouterr().out == "\n".join(GOLDEN[argv]) + "\n"
+
+
+def test_python_m_auctionab_prints_the_same_bytes():
+    """`python -m auctionab` runs the command line: same bytes on stdout,
+    nothing on stderr."""
+    argv = "bounds --design 2 --n 8 --N 1000 --seed 0"
+    env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "auctionab", *argv.split()],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "\n".join(GOLDEN[argv]) + "\n"
 
 
 ESTIMATE_HEADER = ["# auctionab-estimate-v1",

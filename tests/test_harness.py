@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import auctionab
 
 from auctionab.alloc import MultiUnit, mixture, uniform_stair
 from auctionab.equil import ALL_PAY, FIRST_PRICE, BidCurve, bid_curve, sample_bids
@@ -233,3 +240,37 @@ def test_values_evaluated_once_across_cells(monkeypatch):
     for fmt in ("allpay", FIRST_PRICE):
         run_design(ExperimentSpec(design=1, n=8, N=50, trials=2, grid_m=321, format=fmt))
     assert calls.count(322) == 1
+
+
+#: rows whose dots run longer than 10^4 elements: the count form on the
+#: default grid (10 001-long dots), the sort form at N = 2e4, and estimate on
+#: a sample with more than 10^4 distinct bids
+THREAD_ROWS = """
+import json
+import numpy as np
+from auctionab import (ALL_PAY, Beta22, MultiUnit, QuantileGrid, bid_curve, estimate,
+                       sample_bids, uniform_stair, universal_b)
+from auctionab.harness import ExperimentSpec, _cell
+rows = [_cell(ExperimentSpec(design=2, n=32, N=100_000, trials=20, seed=3))[1],
+        _cell(ExperimentSpec(design=3, n=32, N=20_000, trials=10, seed=3))[1]]
+x = universal_b(8)
+sample = sample_bids(bid_curve(ALL_PAY, Beta22(), x, QuantileGrid(100_000)), 50_000, 0)
+rows.append(estimate(sample, x, [MultiUnit(1, 8), MultiUnit(3, 8), uniform_stair(8), x]))
+print(json.dumps([len(np.unique(sample.bids)), [[float(v).hex() for v in r] for r in rows]]))
+"""
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count():
+    """Trial rows in both forms and estimates print the same bits under one
+    and two BLAS threads."""
+    def rows(threads):
+        env = {**os.environ, "PYTHONPATH": str(Path(auctionab.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-c", THREAD_ROWS], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        return json.loads(out)
+
+    one, two = rows(1), rows(2)
+    distinct, hexes = one
+    assert distinct > 10_000 and [len(r) for r in hexes] == [20, 10, 4]
+    assert one == two
