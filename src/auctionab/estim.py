@@ -131,11 +131,11 @@ class SourceGrid:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a @ b in slices of _DOT_CHUNK summed left to right: no thread count enters."""
-    if len(a) <= _DOT_CHUNK:
-        return a @ b
-    total = 0.0
-    for i in range(0, len(a), _DOT_CHUNK):
+    """a @ b in slices of _DOT_CHUNK summed left to right, so that with
+    numpy's bundled OpenBLAS no thread count enters; the bits may still
+    differ between machines or BLAS builds."""
+    total = a[:_DOT_CHUNK] @ b[:_DOT_CHUNK]
+    for i in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
         total += a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
     return total
 
